@@ -20,6 +20,7 @@ from .words import (
     RIGHT_MARK,
     SequentialTransducer,
     as_word,
+    dfa_table,
     make_seq,
     parse_symbol,
     seq_run,
@@ -551,7 +552,7 @@ def serialize_sfla(t: SfLookAroundTransducer) -> str:
     dfa_names = {}
 
     def dfa_name(d: Dfa) -> str:
-        key = translate._dfa_key(d)
+        key = dfa_table(d)
         if key not in dfa_names:
             dfa_names[key] = (f"L{len(dfa_names)}", d)
         return dfa_names[key][0]

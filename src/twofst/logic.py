@@ -20,6 +20,7 @@ from .words import (
     LEFT_MARK,
     RIGHT_MARK,
     as_word,
+    dense_dfa,
     dfa_combine,
     dfa_intersect,
     dfa_is_counter_free,
@@ -612,47 +613,45 @@ class _Compiler:
         return projected
 
     def _exactly_one(self, nvars: int, bit: int) -> Dfa:
-        alpha = self.alphabet_for(nvars)
-        delta = {}
-        for q in (0, 1, 2):
-            for s in alpha:
-                marked = s[1][bit] == 1
-                delta[(q, s)] = min(q + (1 if marked else 0), 2)
-        return Dfa((0, 1, 2), alpha, 0, frozenset({1}), delta)
+        # counts the marks on ``bit``, saturating at 2
+        return dense_dfa(
+            self.alphabet_for(nvars), 3, 0, {1},
+            lambda s: s[1][bit], lambda q, marked: min(q + marked, 2),
+        )
 
     def _bit(self, scope, var):
         return scope.index(var)
 
     def _letter(self, phi: Letter, scope, alpha) -> Dfa:
         bit = self._bit(scope, phi.var)
-        delta = {}
-        for q in (0, 1, 2):
-            for s in alpha:
-                base, bits = s
-                if q == 0 and bits[bit] == 1:
-                    delta[(q, s)] = 1 if base == phi.symbol else 2
-                else:
-                    delta[(q, s)] = q
-        return Dfa((0, 1, 2), alpha, 0, frozenset({1}), delta)
+
+        def step(q, key):
+            marked, match = key
+            if q == 0 and marked:
+                return 1 if match else 2
+            return q
+
+        return dense_dfa(
+            alpha, 3, 0, {1}, lambda s: (s[1][bit] == 1, s[0] == phi.symbol), step
+        )
 
     def _le(self, phi: Le, scope, alpha) -> Dfa:
         bx, by = self._bit(scope, phi.left), self._bit(scope, phi.right)
+
         # 0: neither seen, 1: x first, 2: y first, 3: accept, 4: reject
-        delta = {}
-        for q in range(5):
-            for s in alpha:
-                _, bits = s
-                x, y = bits[bx] == 1, bits[by] == 1
-                if q == 0:
-                    nq = 3 if (x and y) else 1 if x else 2 if y else 0
-                elif q == 1:
-                    nq = 3 if y else 1
-                elif q == 2:
-                    nq = 4 if x else 2
-                else:
-                    nq = q
-                delta[(q, s)] = nq
-        return Dfa(tuple(range(5)), alpha, 0, frozenset({3}), delta)
+        def step(q, key):
+            x, y = key
+            if q == 0:
+                return 3 if (x and y) else 1 if x else 2 if y else 0
+            if q == 1:
+                return 3 if y else 1
+            if q == 2:
+                return 4 if x else 2
+            return q
+
+        return dense_dfa(
+            alpha, 5, 0, {3}, lambda s: (s[1][bx] == 1, s[1][by] == 1), step
+        )
 
     def _mono(self, name):
         if self.registry is None:
@@ -668,36 +667,41 @@ class _Compiler:
         m = self._mono(phi.monoid)
         target = self.registry.element(phi.monoid, phi.element)
         bit = self._bit(scope, phi.var)
-        states = [("acc",), ("rej",)] + [("e", e) for e in m.elements]
-        delta = {}
-        for e in m.elements:
-            for s in alpha:
-                base, bits = s
-                if bits[bit] == 1:
-                    delta[(("e", e), s)] = ("acc",) if e == target else ("rej",)
-                else:
-                    delta[(("e", e), s)] = ("e", self._fold(m, e, base))
-        for s in alpha:
-            delta[(("acc",), s)] = ("acc",)
-            delta[(("rej",), s)] = ("rej",)
-        d = Dfa(tuple(states), alpha, ("e", m.identity), frozenset({("acc",)}), delta)
+        # 0: accept, 1: reject, 2 + i: prefix class m.elements[i]
+        elems = m.elements
+        num = {e: 2 + i for i, e in enumerate(elems)}
+
+        def step(q, key):
+            marked, base = key
+            if q < 2:
+                return q
+            e = elems[q - 2]
+            if marked:
+                return 0 if e == target else 1
+            return num[self._fold(m, e, base)]
+
+        d = dense_dfa(
+            alpha, 2 + len(elems), num[m.identity], {0}, lambda s: (s[1][bit] == 1, s[0]), step
+        )
         return dfa_minimize(d)
 
     def _suffix_class(self, phi: SuffixClass, scope, alpha) -> Dfa:
         m = self._mono(phi.monoid)
         target = self.registry.element(phi.monoid, phi.element)
         bit = self._bit(scope, phi.var)
-        states = [("pre",)] + [("e", e) for e in m.elements]
-        delta = {}
-        for s in alpha:
-            base, bits = s
-            delta[(("pre",), s)] = ("e", m.identity) if bits[bit] == 1 else ("pre",)
-        for e in m.elements:
-            for s in alpha:
-                base, bits = s
-                delta[(("e", e), s)] = ("e", self._fold(m, e, base))
-        finals = frozenset({("e", target)})
-        d = Dfa(tuple(states), alpha, ("pre",), finals, delta)
+        # 0: before the mark, 1 + i: suffix class m.elements[i]
+        elems = m.elements
+        num = {e: 1 + i for i, e in enumerate(elems)}
+
+        def step(q, key):
+            marked, base = key
+            if q == 0:
+                return num[m.identity] if marked else 0
+            return num[self._fold(m, elems[q - 1], base)]
+
+        d = dense_dfa(
+            alpha, 1 + len(elems), 0, {num[target]}, lambda s: (s[1][bit] == 1, s[0]), step
+        )
         return dfa_minimize(d)
 
     def _factor_class(self, phi: FactorClass, scope, alpha) -> Dfa:
@@ -705,52 +709,42 @@ class _Compiler:
         target = self.registry.element(phi.monoid, phi.element)
         bx, by = self._bit(scope, phi.left), self._bit(scope, phi.right)
         ident = m.identity
-        states = [("pre",), ("acc",), ("rej",)] + [("e", e) for e in m.elements]
-        delta = {}
-        for s in alpha:
-            base, bits = s
-            x, y = bits[bx] == 1, bits[by] == 1
-            if x and y:
-                single = self._fold(m, ident, base)
-                delta[(("pre",), s)] = ("acc",) if single == target else ("rej",)
-            elif x:
-                delta[(("pre",), s)] = ("e", self._fold(m, ident, base))
-            elif y:
-                delta[(("pre",), s)] = ("rej",)  # right bound before left: malformed
-            else:
-                delta[(("pre",), s)] = ("pre",)
-        for e in m.elements:
-            for s in alpha:
-                base, bits = s
-                if bits[by] == 1:
-                    f = self._fold(m, e, base)
-                    delta[(("e", e), s)] = ("acc",) if f == target else ("rej",)
-                else:
-                    delta[(("e", e), s)] = ("e", self._fold(m, e, base))
-        for s in alpha:
-            delta[(("acc",), s)] = ("acc",)
-            delta[(("rej",), s)] = ("rej",)
-        d = Dfa(tuple(states), alpha, ("pre",), frozenset({("acc",)}), delta)
+        # 0: before x, 1: accept, 2: reject, 3 + i: factor class m.elements[i]
+        elems = m.elements
+        num = {e: 3 + i for i, e in enumerate(elems)}
+
+        def step(q, key):
+            x, y, base = key
+            if q in (1, 2):
+                return q
+            if q == 0:
+                if x and y:
+                    return 1 if self._fold(m, ident, base) == target else 2
+                if x:
+                    return num[self._fold(m, ident, base)]
+                return 2 if y else 0  # right bound before left: malformed
+            f = self._fold(m, elems[q - 3], base)
+            if y:
+                return 1 if f == target else 2
+            return num[f]
+
+        d = dense_dfa(
+            alpha, 3 + len(elems), 0, {1},
+            lambda s: (s[1][bx] == 1, s[1][by] == 1, s[0]), step,
+        )
         return dfa_minimize(d)
 
     def shape_dfa(self, nvars: int) -> Dfa:
         """Marked tapes: a single ^ first, a single $ last, letters between."""
-        alpha = self.alphabet_for(nvars)
         # 0: expect ^, 1: inside, 2: after $, 3: reject
-        delta = {}
-        for q in range(4):
-            for s in alpha:
-                base, _ = s
-                if q == 0:
-                    nq = 1 if base == LEFT_MARK else 3
-                elif q == 1:
-                    nq = 2 if base == RIGHT_MARK else (1 if base != LEFT_MARK else 3)
-                elif q == 2:
-                    nq = 3
-                else:
-                    nq = 3
-                delta[(q, s)] = nq
-        return Dfa(tuple(range(4)), alpha, 0, frozenset({2}), delta)
+        def step(q, base):
+            if q == 0:
+                return 1 if base == LEFT_MARK else 3
+            if q == 1:
+                return 2 if base == RIGHT_MARK else (1 if base != LEFT_MARK else 3)
+            return 3
+
+        return dense_dfa(self.alphabet_for(nvars), 4, 0, {2}, lambda s: s[0], step)
 
 
 def compile_to_dfa(

@@ -407,68 +407,3 @@ class _RecordingCell(CellSeg):
         visited, outcome = self.run_states(q)
         self.log.extend(visited)
         return outcome
-
-
-def visit_states_at_cell(
-    m: TransitionMonoid,
-    before: BehaviorProfile,
-    cell_symbol,
-    after: BehaviorProfile,
-    start,
-) -> frozenset:
-    """States in which the run visits a designated cell.
-
-    The input factors as ``u = before  c  after`` with ``c`` the designated
-    cell.  ``start`` selects where the observed run begins: ``("mark",)``
-    starts the full run at the left endmarker in the initial state;
-    ``("left", q)`` starts at the first position of a *nonempty* ``before``
-    in state ``q``; ``("cell", q)`` starts on the cell itself; ``("right",
-    q)`` starts at the first position of a *nonempty* ``after`` --- for that
-    variant ``after`` must be split off by the caller.  Visits during 0-move
-    chains on the cell are included.  The walk stops on acceptance.
-    """
-    t = m.machine
-    log = []
-    segs = [
-        MarkSeg(t, LEFT_MARK),
-        ProfileSeg(before),
-        _RecordingCell(t, cell_symbol, log),
-        ProfileSeg(after),
-        MarkSeg(t, RIGHT_MARK, stop_final=True),
-    ]
-    kind = start[0]
-    if kind == "mark":
-        chain_walk(segs, 0, "L", t.initial)
-    elif kind == "left":
-        chain_walk(segs, 1, "L", start[1])
-    elif kind == "cell":
-        chain_walk(segs, 2, "L", start[1])
-    elif kind == "right":
-        chain_walk(segs, 3, "L", start[1])
-    else:
-        raise ValueError(f"unknown start {start!r}")
-    return frozenset(log)
-
-
-def visit_states_at_cell_from_right_segment(
-    m: TransitionMonoid,
-    before: BehaviorProfile,
-    cell_symbol,
-    gap: BehaviorProfile,
-    right: BehaviorProfile,
-    q,
-) -> frozenset:
-    """Visits to the cell in ``u = before c gap right`` for the run started
-    at the first position of a nonempty ``right`` in state ``q``."""
-    t = m.machine
-    log = []
-    segs = [
-        MarkSeg(t, LEFT_MARK),
-        ProfileSeg(before),
-        _RecordingCell(t, cell_symbol, log),
-        ProfileSeg(gap),
-        ProfileSeg(right),
-        MarkSeg(t, RIGHT_MARK, stop_final=True),
-    ]
-    chain_walk(segs, 4, "L", q)
-    return frozenset(log)

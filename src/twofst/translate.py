@@ -27,6 +27,7 @@ from .words import (
     dfa_accepts,
     dfa_complement,
     dfa_minimize,
+    dfa_table,
     dfa_universal,
     make_seq,
 )
@@ -128,13 +129,13 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
     # one-way state before the current input letter
     r0 = ("r1", b.initial, a.initial, (), LEFT_MARK, ())
     finals = set()
-    seen = {r0}
+    seen = {r0: None}  # insertion-ordered, so state numbering is reproducible
     queue = deque([r0])
 
     def emit(state, x, target, out, move):
         rules[(state, x)] = (target, out, move)
         if target not in seen:
-            seen.add(target)
+            seen[target] = None
             queue.append(target)
 
     def pick_pair(rel, true_c, key):
@@ -763,14 +764,14 @@ class _JumpTables:
     def vector_space(self):
         """Suffix-acceptance vectors reachable from the end of the tape."""
         seed = self.end_vector()
-        seen = {seed}
+        seen = {seed: None}  # insertion-ordered
         queue = deque([seed])
         while queue:
             v = queue.popleft()
             for a in self.base:
                 w = self.pre_vector(v, a)
                 if w not in seen:
-                    seen.add(w)
+                    seen[w] = None
                     queue.append(w)
         return tuple(seen)
 
@@ -1113,16 +1114,6 @@ def dfa_reverse(d: Dfa) -> Dfa:
     return determinize_nfa(d.alphabet, tuple(d.finals), frozenset({d.initial}), moves)
 
 
-def _dfa_key(d: Dfa):
-    dm = dfa_minimize(d)
-    return (
-        len(dm.states),
-        dm.initial,
-        tuple(sorted(dm.finals)),
-        tuple(sorted(dm.delta.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))),
-    )
-
-
 class _BitTable:
     """Distinct test languages in declaration order; constants folded away."""
 
@@ -1136,7 +1127,7 @@ class _BitTable:
             return ("const", True)
         if _dfa_is_empty(dm):
             return ("const", False)
-        key = (_dfa_key(dm), flavor)
+        key = (dfa_table(dm), flavor)
         if key not in self.index:
             self.index[key] = len(self.entries)
             self.entries.append((key, dm, flavor))
@@ -1198,7 +1189,7 @@ def sf_la_to_plain(
         return tuple(out)
 
     sigma0 = tuple(d.initial for d in pre_dfas)
-    sig_seen = {sigma0}
+    sig_seen = {sigma0: None}  # insertion-ordered
     sig_queue = deque([sigma0])
     left_rules = {}
     e1_letters = set()
@@ -1210,7 +1201,7 @@ def sf_la_to_plain(
             left_rules[(sigma, a)] = (nxt, ((a, bits),))
             e1_letters.add((a, bits))
             if nxt not in sig_seen:
-                sig_seen.add(nxt)
+                sig_seen[nxt] = None
                 sig_queue.append(nxt)
     e1_alpha = Alphabet(tuple(sorted(e1_letters, key=lambda s: (str(s[0]), s[1]))))
     left_ann = make_seq(
@@ -1232,7 +1223,7 @@ def sf_la_to_plain(
         return tuple(out)
 
     rho0 = tuple(d.initial for d in suf_rev)
-    rho_seen = {rho0}
+    rho_seen = {rho0: None}  # insertion-ordered
     rho_queue = deque([rho0])
     right_rules = {}
     e2_letters = set()
@@ -1245,7 +1236,7 @@ def sf_la_to_plain(
             right_rules[(rho, (a, pbits))] = (nxt, (out_letter,))
             e2_letters.add(out_letter)
             if nxt not in rho_seen:
-                rho_seen.add(nxt)
+                rho_seen[nxt] = None
                 rho_queue.append(nxt)
     e2_alpha = Alphabet(tuple(sorted(e2_letters, key=lambda s: (str(s[0]), s[1]))))
     right_ann = make_seq(

@@ -9,9 +9,10 @@ symbols, which keeps fixtures readable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 LEFT_MARK = "^"
 RIGHT_MARK = "$"
@@ -67,21 +68,30 @@ def parse_symbol(text: str) -> Symbol:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite ordered set of symbols; endmarkers are reserved."""
+    """A finite ordered set of symbols; endmarkers are reserved.
+
+    ``index`` maps each symbol to its position in ``symbols``; it is built
+    once, at construction, and must not be modified.
+    """
 
     symbols: tuple
 
     def __post_init__(self):
         if not self.symbols:
             raise AlphabetError("alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        index = {s: i for i, s in enumerate(self.symbols)}
+        if len(index) != len(self.symbols):
             raise AlphabetError("duplicate symbols in alphabet")
         for m in MARKS:
-            if m in self.symbols:
+            if m in index:
                 raise AlphabetError(f"endmarker {m!r} cannot be an alphabet symbol")
+        object.__setattr__(self, "index", index)
 
     def __contains__(self, s) -> bool:
-        return s in self.symbols
+        try:
+            return s in self.index
+        except TypeError:  # unhashable, so not a symbol
+            return False
 
     def __iter__(self):
         return iter(self.symbols)
@@ -92,7 +102,7 @@ class Alphabet:
     def word(self, text) -> Word:
         w = as_word(text)
         for s in w:
-            if s not in self.symbols:
+            if s not in self:
                 raise SymbolNotInAlphabet(f"symbol {s!r} not in alphabet")
         return w
 
@@ -107,151 +117,267 @@ def alphabet(symbols) -> Alphabet:
     return Alphabet(tuple(symbols))
 
 
+# marked_alphabet's results, so that the symbol index of each is built once
+# and alphabet comparisons between compiled DFAs hit the identity check.
+# Entries depend only on their key and are stored with setdefault, so
+# concurrent callers at worst build one twice and keep the first.
+_MARKED: dict = {}
+
+
 def marked_alphabet(base: Alphabet, width: int, with_marks: bool = False) -> Alphabet:
     """Product alphabet ``base x {0,1}^width``; bit order is declaration order.
 
     With ``with_marks`` the endmarker tokens are included as carriers so that
     formulas over marked tapes can place variables on the endmarkers.  The
     marks then appear inside pairs, never as bare symbols, so the reserved
-    token invariant still holds.
+    token invariant still holds.  Equal arguments give the same object.
     """
-    bases = tuple(base.symbols) + (MARKS if with_marks else ())
-    if width == 0:
-        syms = tuple((b, ()) for b in bases)
-    else:
-        syms = tuple((b, bits) for b in bases for bits in product((0, 1), repeat=width))
-    return Alphabet(syms)
+    key = (base.symbols, width, bool(with_marks))
+    got = _MARKED.get(key)
+    if got is None:
+        bases = tuple(base.symbols) + (MARKS if with_marks else ())
+        if width == 0:
+            syms = tuple((b, ()) for b in bases)
+        else:
+            syms = tuple((b, bits) for b in bases for bits in product((0, 1), repeat=width))
+        got = _MARKED.setdefault(key, Alphabet(syms))
+    return got
 
 
 # ---------------------------------------------------------------------------
 # Deterministic finite automata
 
 
-@dataclass(frozen=True, eq=False)
 class Dfa:
-    """Complete DFA; ``delta`` is total over states x alphabet."""
+    """Complete DFA, stored as a dense table over symbol classes.
 
-    states: tuple
-    alphabet: Alphabet
-    initial: object
-    finals: frozenset
-    delta: dict  # (state, symbol) -> state
+    State ``states[i]`` is numbered ``i``.  Symbols are grouped in classes
+    whose members have identical transition columns: ``_cls[j]`` is the
+    class of symbol ``alphabet.symbols[j]``, classes are numbered in the
+    order of their first symbol, and ``_rows[i][c]`` is the number of the
+    target of state ``i`` on class ``c``.  ``_init`` is the number of the
+    initial state and ``_fin[i]`` tells whether state ``i`` is final.  The
+    constructor and ``dfa_minimize`` give no two classes the same column;
+    products may, until they are minimized.
 
-    def __post_init__(self):
-        if self.initial not in self.states:
+    The constructor takes a ``(state, symbol) -> state`` mapping that must be
+    total over ``states x alphabet`` and is not kept.  ``delta`` gives the
+    same mapping back, read-only, built on first access.  Instances are
+    immutable; the automata built by this module have ``states == (0..n-1)``.
+    """
+
+    __slots__ = (
+        "states", "alphabet", "initial", "finals",
+        "_cls", "_rows", "_init", "_fin", "_minimal", "_delta",
+    )
+
+    def __init__(self, states, alphabet, initial, finals, delta):
+        if initial not in states:
             raise ValueError("initial state missing from state set")
-        if not self.finals <= set(self.states):
+        if not finals <= set(states):
             raise ValueError("final states must be a subset of states")
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise ValueError(f"missing transition ({q!r}, {a!r})")
+        number = {q: i for i, q in enumerate(states)}
+        table = []
+        for q in states:
+            row = []
+            for a in alphabet:
+                try:
+                    t = delta[(q, a)]
+                except KeyError:
+                    raise ValueError(f"missing transition ({q!r}, {a!r})") from None
+                if t not in number:
+                    raise ValueError(f"transition ({q!r}, {a!r}) leaves the state set")
+                row.append(number[t])
+            table.append(row)
+        cls, rows = _classify(table)
+        _fill(self, states, alphabet, initial, finals, cls, rows, number[initial],
+              tuple(q in finals for q in states), False)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"Dfa(states={len(self.states)}, symbols={len(self.alphabet)}, "
+            f"classes={len(self._rows[0])}, finals={len(self.finals)})"
+        )
+
+    @property
+    def delta(self) -> Mapping:
+        got = self._delta
+        if got is None:
+            states, syms, cls = self.states, self.alphabet.symbols, self._cls
+            got = MappingProxyType(
+                {
+                    (q, a): states[row[c]]
+                    for q, row in zip(states, self._rows)
+                    for a, c in zip(syms, cls)
+                }
+            )
+            object.__setattr__(self, "_delta", got)
+        return got
 
     def step(self, q, a):
         return self.delta[(q, a)]
 
 
+def _fill(d, states, alphabet_, initial, finals, cls, rows, init, fin, minimal):
+    for name, value in (
+        ("states", states), ("alphabet", alphabet_), ("initial", initial),
+        ("finals", finals), ("_cls", cls), ("_rows", rows), ("_init", init),
+        ("_fin", fin), ("_minimal", minimal), ("_delta", None),
+    ):
+        object.__setattr__(d, name, value)
+
+
+def _dense(alphabet_: Alphabet, cls: tuple, rows: tuple, init: int, fin: tuple,
+           minimal: bool = False) -> Dfa:
+    """A DFA on states ``0..n-1`` straight from its table; no validation."""
+    d = object.__new__(Dfa)
+    finals = frozenset(i for i, f in enumerate(fin) if f)
+    _fill(d, tuple(range(len(rows))), alphabet_, init, finals, cls, rows, init, fin, minimal)
+    return d
+
+
+def _classify(table) -> tuple:
+    """Symbol classes and class rows of a state x symbol table of targets."""
+    columns = {}
+    cls = tuple([columns.setdefault(col, len(columns)) for col in zip(*table)])
+    return cls, tuple(zip(*columns))
+
+
+def dense_dfa(alphabet_: Alphabet, n: int, initial: int, finals, key, step) -> Dfa:
+    """DFA on states ``0..n-1`` whose moves depend on a symbol only through
+    ``key(symbol)``: state ``q`` goes to ``step(q, k)`` on every symbol with
+    key ``k``.  ``step`` is called once per state and distinct key."""
+    keys = {}
+    cls = tuple([keys.setdefault(key(a), len(keys)) for a in alphabet_.symbols])
+    rows = tuple(tuple([step(q, k) for k in keys]) for q in range(n))
+    if not 0 <= initial < n or any(not 0 <= t < n for row in rows for t in row):
+        raise ValueError(f"a state number is outside 0..{n - 1}")
+    return _dense(alphabet_, cls, rows, initial, tuple(q in finals for q in range(n)))
+
+
 def make_dfa(states, alphabet_, initial, finals, delta) -> Dfa:
-    return Dfa(tuple(states), alphabet_, initial, frozenset(finals), dict(delta))
+    return Dfa(tuple(states), alphabet_, initial, frozenset(finals), delta)
 
 
 def dfa_accepts(d: Dfa, w) -> bool:
-    q = d.initial
+    index, cls, rows = d.alphabet.index, d._cls, d._rows
+    q = d._init
     for a in as_word(w):
-        if a not in d.alphabet:
-            raise SymbolNotInAlphabet(f"symbol {a!r} not in alphabet")
-        q = d.delta[(q, a)]
-    return q in d.finals
+        try:
+            j = index[a]
+        except (KeyError, TypeError):
+            raise SymbolNotInAlphabet(f"symbol {a!r} not in alphabet") from None
+        q = rows[q][cls[j]]
+    return d._fin[q]
 
 
 def dfa_language_upto(d: Dfa, max_len: int, min_len: int = 0):
     return [w for w in d.alphabet.words_upto(max_len, min_len) if dfa_accepts(d, w)]
 
 
-def _reachable(d: Dfa):
-    seen = {d.initial}
-    queue = deque([d.initial])
-    order = [d.initial]
-    while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            r = d.delta[(q, a)]
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-                queue.append(r)
-    return order
-
-
 def dfa_minimize(d: Dfa) -> Dfa:
-    """Moore partition refinement over the reachable part, then BFS renumber."""
-    states = _reachable(d)
-    idx = {q: i for i, q in enumerate(states)}
-    finals = set(d.finals)
-    block = [1 if q in finals else 0 for q in states]
+    """Moore partition refinement over the reachable part, then BFS renumber.
+
+    The BFS visits classes in order, which visits states in the same order
+    as a BFS over the symbols, so the result is the canonical minimal DFA:
+    equal languages over one alphabet give equal tables.  Its classes are
+    merged until no two share a column.
+    """
+    if d._minimal:
+        return d
+    rows = d._rows
+    # reachable states, numbered in BFS order
+    number = {d._init: 0}
+    order = [d._init]
+    for q in order:
+        for t in rows[q]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    local = [tuple([number[t] for t in rows[q]]) for q in order]
+    fin = [d._fin[q] for q in order]
+    block = [1 if f else 0 for f in fin]
     nblocks = len(set(block))
     while True:
         sigs = {}
-        newblock = [0] * len(states)
-        for i, q in enumerate(states):
-            sig = (block[i],) + tuple(block[idx[d.delta[(q, a)]]] for a in d.alphabet)
-            newblock[i] = sigs.setdefault(sig, len(sigs))
-        block = newblock
+        block = [
+            sigs.setdefault((b,) + tuple([block[t] for t in row]), len(sigs))
+            for b, row in zip(block, local)
+        ]
         if len(sigs) == nblocks:
             break
         nblocks = len(sigs)
-    accepting_blocks = {block[i] for i, q in enumerate(states) if q in finals}
+    member = {}
+    for i, b in enumerate(block):
+        member.setdefault(b, i)
     # canonical BFS order over blocks
-    b_delta = {}
-    for i, q in enumerate(states):
-        for j, a in enumerate(d.alphabet):
-            b_delta[(block[i], a)] = block[idx[d.delta[(q, a)]]]
-    start = block[idx[d.initial]]
-    rename = {start: 0}
-    order = deque([start])
-    while order:
-        b = order.popleft()
-        for a in d.alphabet:
-            c = b_delta[(b, a)]
+    rename = {block[0]: 0}
+    border = [block[0]]
+    for b in border:
+        for t in local[member[b]]:
+            c = block[t]
             if c not in rename:
-                rename[c] = len(rename)
-                order.append(c)
-    n = len(rename)
-    delta = {
-        (rename[b], a): rename[b_delta[(b, a)]]
-        for b in rename
-        for a in d.alphabet
-    }
-    finals2 = frozenset(rename[b] for b in accepting_blocks if b in rename)
-    return Dfa(tuple(range(n)), d.alphabet, 0, finals2, delta)
+                rename[c] = len(border)
+                border.append(c)
+    new_rows = [tuple([rename[block[t]] for t in local[member[b]]]) for b in border]
+    new_fin = tuple(fin[member[b]] for b in border)
+    cls = d._cls
+    columns = {}
+    merge = [columns.setdefault(col, len(columns)) for col in zip(*new_rows)]
+    if len(columns) < len(merge):
+        cls = tuple([merge[c] for c in cls])
+        new_rows = list(zip(*columns))
+    return _dense(d.alphabet, cls, tuple(new_rows), 0, new_fin, minimal=True)
+
+
+def dfa_table(d: Dfa) -> tuple:
+    """Table of the canonical minimal DFA of ``d``: alphabet, classes, rows
+    and finals.
+
+    Two DFAs accept the same language over the same alphabet exactly when
+    their tables are equal.
+    """
+    m = dfa_minimize(d)
+    return (m.alphabet, m._cls, m._rows, m._fin)
 
 
 def dfa_same_language(d1: Dfa, d2: Dfa) -> bool:
     if d1.alphabet != d2.alphabet:
         return False
-    m1, m2 = dfa_minimize(d1), dfa_minimize(d2)
-    return m1.states == m2.states and m1.finals == m2.finals and m1.delta == m2.delta
+    return dfa_table(d1) == dfa_table(d2)
 
 
 def _product(d1: Dfa, d2: Dfa, keep) -> Dfa:
-    if d1.alphabet != d2.alphabet:
+    """Reachable product over joint classes, minimized."""
+    if d1.alphabet is not d2.alphabet and d1.alphabet != d2.alphabet:
         raise AlphabetError("alphabet mismatch")
-    init = (d1.initial, d2.initial)
-    seen = {init}
-    queue = deque([init])
-    states = [init]
-    delta = {}
-    while queue:
-        (p, q) = queue.popleft()
-        for a in d1.alphabet:
-            r = (d1.delta[(p, a)], d2.delta[(q, a)])
-            delta[((p, q), a)] = r
-            if r not in seen:
-                seen.add(r)
-                states.append(r)
-                queue.append(r)
-    finals = frozenset(s for s in states if keep(s[0] in d1.finals, s[1] in d2.finals))
-    return dfa_minimize(Dfa(tuple(states), d1.alphabet, init, finals, delta))
+    joint = {}
+    cls = tuple([joint.setdefault(pair, len(joint)) for pair in zip(d1._cls, d2._cls)])
+    rows1, rows2 = d1._rows, d2._rows
+    init = (d1._init, d2._init)
+    number = {init: 0}
+    order = [init]
+    rows = []
+    for p, q in order:
+        r1, r2 = rows1[p], rows2[q]
+        row = []
+        for x, y in joint:
+            t = (r1[x], r2[y])
+            i = number.get(t)
+            if i is None:
+                i = number[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(tuple(row))
+    f1, f2 = d1._fin, d2._fin
+    fin = tuple(bool(keep(f1[p], f2[q])) for p, q in order)
+    return dfa_minimize(_dense(d1.alphabet, cls, tuple(rows), 0, fin))
 
 
 def dfa_intersect(d1: Dfa, d2: Dfa) -> Dfa:
@@ -263,54 +389,80 @@ def dfa_union(d1: Dfa, d2: Dfa) -> Dfa:
 
 
 def dfa_complement(d: Dfa) -> Dfa:
-    finals = frozenset(q for q in d.states if q not in d.finals)
-    return dfa_minimize(Dfa(d.states, d.alphabet, d.initial, finals, dict(d.delta)))
+    fin = tuple(not f for f in d._fin)
+    # complementing keeps a minimal DFA minimal and its numbering canonical
+    flipped = _dense(d.alphabet, d._cls, d._rows, d._init, fin, minimal=d._minimal)
+    return dfa_minimize(flipped)
+
+
+def _subsets(alphabet_: Alphabet, cls: tuple, nclasses: int, init: frozenset,
+             successors, is_final) -> Dfa:
+    """Subset construction over classes ``0..nclasses-1``; ``successors(S, c)``
+    is the subset reached from ``S`` on class ``c``."""
+    number = {init: 0}
+    order = [init]
+    rows = []
+    for s in order:
+        row = []
+        for c in range(nclasses):
+            t = successors(s, c)
+            i = number.get(t)
+            if i is None:
+                i = number[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(tuple(row))
+    fin = tuple(bool(is_final(s)) for s in order)
+    return dfa_minimize(_dense(alphabet_, cls, tuple(rows), 0, fin))
 
 
 def determinize_nfa(alphabet_: Alphabet, initials, finals, moves) -> Dfa:
     """Subset construction.  ``moves(state, symbol)`` yields successor states."""
-    init = frozenset(initials)
-    seen = {init}
-    queue = deque([init])
-    states = [init]
-    delta = {}
-    final_set = set()
-    while queue:
-        s = queue.popleft()
-        if s & finals:
-            final_set.add(s)
-        for a in alphabet_:
-            t = frozenset(r for q in s for r in moves(q, a))
-            delta[(s, a)] = t
-            if t not in seen:
-                seen.add(t)
-                states.append(t)
-                queue.append(t)
-    return dfa_minimize(Dfa(tuple(states), alphabet_, init, frozenset(final_set), delta))
+    syms = alphabet_.symbols
+
+    def successors(s, j):
+        a = syms[j]
+        return frozenset(r for q in s for r in moves(q, a))
+
+    cls = tuple(range(len(syms)))
+    return _subsets(
+        alphabet_, cls, len(syms), frozenset(initials), successors, lambda s: s & finals
+    )
 
 
 def dfa_project_bit(d: Dfa, bit: int) -> Dfa:
-    """Erase bit ``bit`` from a product-alphabet DFA (existential projection)."""
-    base_syms = []
-    for s in d.alphabet:
+    """Erase bit ``bit`` from a product-alphabet DFA (existential projection).
+
+    The subset construction runs over groups of target symbols whose lifted
+    symbols fall in the same classes of ``d``.
+    """
+    lifts = {}  # target symbol -> numbers of the symbols that erase to it
+    for j, s in enumerate(d.alphabet.symbols):
         if not (isinstance(s, tuple) and len(s) == 2 and isinstance(s[1], tuple)):
             raise AlphabetError("project-bit requires a product alphabet")
         b, bits = s
         if bit >= len(bits):
             raise AlphabetError("bit index out of range")
-        t = (b, bits[:bit] + bits[bit + 1 :])
-        if t not in base_syms:
-            base_syms.append(t)
-    target = Alphabet(tuple(base_syms))
-    lift = {}
-    for s in d.alphabet:
-        b, bits = s
-        lift.setdefault((b, bits[:bit] + bits[bit + 1 :]), []).append(s)
+        lifts.setdefault((b, bits[:bit] + bits[bit + 1 :]), []).append(j)
+    src = d._cls
+    groups = {}
+    cls = tuple(
+        [
+            groups.setdefault(tuple(sorted({src[j] for j in lift})), len(groups))
+            for lift in lifts.values()
+        ]
+    )
+    group_classes = tuple(groups)
+    rows, fin = d._rows, d._fin
 
-    def moves(q, a):
-        return [d.delta[(q, s)] for s in lift[a]]
+    def successors(s, g):
+        cs = group_classes[g]
+        return frozenset([rows[q][c] for q in s for c in cs])
 
-    return determinize_nfa(target, [d.initial], frozenset(d.finals), moves)
+    return _subsets(
+        Alphabet(tuple(lifts)), cls, len(groups), frozenset({d._init}), successors,
+        lambda s: any(fin[q] for q in s),
+    )
 
 
 def dfa_combine(kind: str, *operands) -> Dfa:
@@ -329,8 +481,7 @@ def dfa_combine(kind: str, *operands) -> Dfa:
 
 
 def dfa_universal(alphabet_: Alphabet, accept: bool = True) -> Dfa:
-    delta = {(0, a): 0 for a in alphabet_}
-    return Dfa((0,), alphabet_, 0, frozenset({0} if accept else set()), delta)
+    return _dense(alphabet_, (0,) * len(alphabet_), ((0,),), 0, (bool(accept),), minimal=True)
 
 
 def dfa_only_word(alphabet_: Alphabet, w) -> Dfa:
@@ -408,13 +559,16 @@ def _aperiodicity_index(elements) -> tuple:
 
 
 def dfa_is_counter_free(d: Dfa) -> CounterFreeReport:
-    """Decide aperiodicity of the transition monoid of ``d``."""
-    states = tuple(d.states)
-    idx = {q: i for i, q in enumerate(states)}
-    actions = {
-        a: tuple(idx[d.delta[(q, a)]] for q in states) for a in d.alphabet
-    }
-    elements = _function_monoid(states, actions)
+    """Decide aperiodicity of the transition monoid of ``d``.
+
+    One generator per symbol class, named by its first symbol: the other
+    symbols of a class act identically.
+    """
+    first = {}
+    for j, c in enumerate(d._cls):
+        first.setdefault(c, d.alphabet.symbols[j])
+    actions = {a: tuple(row[c] for row in d._rows) for c, a in first.items()}
+    elements = _function_monoid(d.states, actions)
     index, witness = _aperiodicity_index(elements)
     if witness is not None:
         return CounterFreeReport(False, None, elements[witness])

@@ -1,5 +1,7 @@
 import os
 import sys
+import time
+from contextlib import contextmanager
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -14,6 +16,15 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name: str) -> str:
     return os.path.join(DATA, name)
+
+
+@contextmanager
+def budget(name: str, seconds: float):
+    start = time.time()
+    yield
+    elapsed = time.time() - start
+    print(f"{name}: PASS ({elapsed:.2f}s, budget {seconds:.0f}s)")
+    assert elapsed < seconds, f"{name} exceeded its {seconds}s budget: {elapsed:.1f}s"
 
 
 def words_upto(n, min_len=0):

@@ -2,8 +2,6 @@
 its runtime against the stated budget."""
 import random
 import re
-import time
-from contextlib import contextmanager
 
 from twofst import cli
 from twofst.machines import (
@@ -38,16 +36,7 @@ from twofst.translate import compose_seq_2w, fot_to_twoway, twoway_to_fot
 from twofst.twoway import behaviors, pumped_context_path, simulate
 from twofst.words import dfa_accepts, dfa_is_counter_free, seq_run, show_word
 
-from conftest import data_path, random_formula, words_upto
-
-
-@contextmanager
-def budget(name: str, seconds: float):
-    start = time.time()
-    yield
-    elapsed = time.time() - start
-    print(f"{name}: PASS ({elapsed:.2f}s, budget {seconds:.0f}s)")
-    assert elapsed < seconds, f"{name} exceeded its {seconds}s budget: {elapsed:.1f}s"
+from conftest import budget, data_path, random_formula, words_upto
 
 
 def test_criterion_1_running_example(capsys):

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,13 +11,19 @@ from twofst.words import (
     SymbolNotInAlphabet,
     alphabet,
     as_word,
+    dense_dfa,
     dfa_accepts,
     dfa_combine,
+    dfa_complement,
+    dfa_intersect,
     dfa_is_counter_free,
     dfa_language_upto,
     dfa_minimize,
     dfa_only_word,
+    dfa_project_bit,
     dfa_same_language,
+    dfa_table,
+    dfa_union,
     dfa_universal,
     make_dfa,
     make_seq,
@@ -134,6 +143,39 @@ def test_minimize_canonical():
     assert len(dfa_minimize(bloated).states) == 2
 
 
+def test_dfa_validation_and_immutability():
+    good = dict(dfa_contains_b().delta)
+    with pytest.raises(ValueError, match="initial"):
+        make_dfa((0, 1), AB, 2, {1}, good)
+    with pytest.raises(ValueError, match="final"):
+        make_dfa((0, 1), AB, 0, {2}, good)
+    with pytest.raises(ValueError, match="missing transition"):
+        make_dfa((0, 1), AB, 0, {1}, {k: v for k, v in good.items() if k != (1, "b")})
+    with pytest.raises(ValueError, match="leaves the state set"):
+        make_dfa((0, 1), AB, 0, {1}, {**good, (1, "b"): 7})
+    d = make_dfa((0, 1), AB, 0, {1}, good)
+    assert dict(d.delta) == good and d.step(0, "b") == 1
+    with pytest.raises(AttributeError):
+        d.finals = frozenset()
+    with pytest.raises(TypeError):
+        d.delta[(0, "a")] = 1
+    # equal tables over different alphabets are different languages
+    other = alphabet("ac")
+    assert dfa_table(dfa_universal(AB)) != dfa_table(dfa_universal(other))
+    assert not dfa_same_language(dfa_universal(AB), dfa_universal(other))
+
+
+def test_dense_dfa_builds_from_symbol_keys():
+    marked = marked_alphabet(AB, 1)
+    # words with exactly one marked position: count marks, saturating at 2
+    d = dense_dfa(marked, 3, 0, {1}, lambda s: s[1][0], lambda q, m: min(q + m, 2))
+    delta = {(q, s): min(q + s[1][0], 2) for q in range(3) for s in marked}
+    assert dict(d.delta) == delta
+    assert dfa_table(d) == dfa_table(make_dfa(range(3), marked, 0, {1}, delta))
+    with pytest.raises(ValueError, match="outside"):
+        dense_dfa(marked, 3, 0, {1}, lambda s: s[1][0], lambda q, m: q + m)
+
+
 def test_seq_run_examples():
     ident = seq_identity(AB)
     assert seq_run(ident, "aab") == as_word("aab")
@@ -154,3 +196,172 @@ def test_seq_run_concat_on_total_single_state(u, v):
 def test_only_word_dfa():
     d = dfa_only_word(AB, "aba")
     assert [show_word(w) for w in dfa_language_upto(d, 5)] == ["aba"]
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the dense kernel against the dict-based one it
+# replaced.  The reference works on (states, symbols, initial, finals, delta)
+# tuples with ``delta`` keyed by (state, symbol).
+
+
+def ref_reachable(d):
+    states, syms, initial, _, delta = d
+    seen = {initial}
+    queue = deque([initial])
+    order = [initial]
+    while queue:
+        q = queue.popleft()
+        for a in syms:
+            r = delta[(q, a)]
+            if r not in seen:
+                seen.add(r)
+                order.append(r)
+                queue.append(r)
+    return order
+
+
+def ref_minimize(d):
+    """Moore partition refinement over the reachable part, then BFS renumber."""
+    _, syms, initial, finals, delta = d
+    states = ref_reachable(d)
+    idx = {q: i for i, q in enumerate(states)}
+    block = [1 if q in finals else 0 for q in states]
+    nblocks = len(set(block))
+    while True:
+        sigs = {}
+        newblock = [0] * len(states)
+        for i, q in enumerate(states):
+            sig = (block[i],) + tuple(block[idx[delta[(q, a)]]] for a in syms)
+            newblock[i] = sigs.setdefault(sig, len(sigs))
+        block = newblock
+        if len(sigs) == nblocks:
+            break
+        nblocks = len(sigs)
+    accepting_blocks = {block[i] for i, q in enumerate(states) if q in finals}
+    b_delta = {}
+    for i, q in enumerate(states):
+        for a in syms:
+            b_delta[(block[i], a)] = block[idx[delta[(q, a)]]]
+    start = block[idx[initial]]
+    rename = {start: 0}
+    order = deque([start])
+    while order:
+        b = order.popleft()
+        for a in syms:
+            c = b_delta[(b, a)]
+            if c not in rename:
+                rename[c] = len(rename)
+                order.append(c)
+    delta2 = {(rename[b], a): rename[b_delta[(b, a)]] for b in rename for a in syms}
+    finals2 = frozenset(rename[b] for b in accepting_blocks if b in rename)
+    return (tuple(range(len(rename))), syms, 0, finals2, delta2)
+
+
+def ref_product(d1, d2, keep):
+    _, syms, i1, f1, delta1 = d1
+    _, _, i2, f2, delta2 = d2
+    init = (i1, i2)
+    seen = {init}
+    queue = deque([init])
+    states = [init]
+    delta = {}
+    while queue:
+        (p, q) = queue.popleft()
+        for a in syms:
+            r = (delta1[(p, a)], delta2[(q, a)])
+            delta[((p, q), a)] = r
+            if r not in seen:
+                seen.add(r)
+                states.append(r)
+                queue.append(r)
+    finals = frozenset(s for s in states if keep(s[0] in f1, s[1] in f2))
+    return ref_minimize((tuple(states), syms, init, finals, delta))
+
+
+def ref_complement(d):
+    states, syms, initial, finals, delta = d
+    return ref_minimize((states, syms, initial, frozenset(states) - finals, delta))
+
+
+def ref_project_bit(d, bit):
+    """Subset construction over the symbols with bit ``bit`` erased."""
+    _, syms, initial, finals, delta = d
+    lift = {}
+    for s in syms:
+        b, bits = s
+        lift.setdefault((b, bits[:bit] + bits[bit + 1 :]), []).append(s)
+    target = tuple(lift)
+    init = frozenset({initial})
+    seen = {init}
+    queue = deque([init])
+    states = [init]
+    sub = {}
+    while queue:
+        s = queue.popleft()
+        for a in target:
+            t = frozenset(delta[(q, x)] for q in s for x in lift[a])
+            sub[(s, a)] = t
+            if t not in seen:
+                seen.add(t)
+                states.append(t)
+                queue.append(t)
+    sub_finals = frozenset(s for s in states if s & finals)
+    return ref_minimize((tuple(states), target, init, sub_finals, sub))
+
+
+def ref_language(d, max_len):
+    """Acceptance of every word of length <= max_len, in length-lex order."""
+    _, syms, initial, finals, delta = d
+    level = [initial]
+    out = [initial in finals]
+    for _ in range(max_len):
+        level = [delta[(q, a)] for q in level for a in syms]
+        out.extend(q in finals for q in level)
+    return out
+
+
+def as_ref(d):
+    return (d.states, d.alphabet.symbols, d.initial, d.finals, dict(d.delta))
+
+
+def random_dfa(rng, alpha):
+    """A random complete DFA whose moves mostly depend on a coarse symbol
+    key, so that symbols share columns; state names are not 0..n-1."""
+    n = rng.randint(1, 6)
+    names = [f"q{i}" for i in rng.sample(range(20), n)]
+    nkeys = rng.randint(1, 4)
+    key = {a: rng.randrange(nkeys) for a in alpha}
+    by_key = {(q, k): rng.choice(names) for q in names for k in range(nkeys)}
+    delta = {}
+    for q in names:
+        for a in alpha:
+            if rng.random() < 0.1:
+                delta[(q, a)] = rng.choice(names)
+            else:
+                delta[(q, a)] = by_key[(q, key[a])]
+    finals = {q for q in names if rng.random() < 0.4}
+    return make_dfa(names, alpha, rng.choice(names), finals, delta)
+
+
+@pytest.mark.parametrize("with_marks", [False, True], ids=["plain", "endmarked"])
+def test_dense_kernel_matches_dict_reference(with_marks):
+    alpha = marked_alphabet(AB, 2, with_marks=with_marks)
+    rng = random.Random(2021 + with_marks)
+    for _ in range(12):
+        d1, d2 = random_dfa(rng, alpha), random_dfa(rng, alpha)
+        r1, r2 = as_ref(d1), as_ref(d2)
+        for d, r in ((d1, r1), (d2, r2)):
+            assert as_ref(dfa_minimize(d)) == ref_minimize(r)
+        pairs = [
+            (dfa_intersect(d1, d2), ref_product(r1, r2, lambda x, y: x and y)),
+            (dfa_union(d1, d2), ref_product(r1, r2, lambda x, y: x or y)),
+            (dfa_complement(d1), ref_complement(r1)),
+            (dfa_project_bit(d1, 0), ref_project_bit(r1, 0)),
+            (dfa_project_bit(d2, 1), ref_project_bit(r2, 1)),
+        ]
+        for got, want in pairs:
+            assert ref_language(as_ref(got), 4) == ref_language(want, 4)
+            assert as_ref(got) == want
+        # dfa_accepts reads the dense table itself, not ``delta``
+        words = list(alpha.words_upto(3))
+        assert [dfa_accepts(d1, w) for w in words] == ref_language(r1, 3)
