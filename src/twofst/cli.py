@@ -23,6 +23,7 @@ from .words import (
     dfa_table,
     make_seq,
     parse_symbol,
+    power_cycle,
     seq_run,
     show_symbol,
     show_word,
@@ -613,24 +614,12 @@ def serialize_monoid(m: TransitionMonoid) -> str:
 
     for e in m.elements:
         rep = m.element_id(e)
-        stab = _stabilization_power(m, e)
+        stab, _ = power_cycle(e, m.identity, m.product)
         out.append(
             f"element {rep} : ll={fmt(e.ll)} lr={fmt(e.lr)} rl={fmt(e.rl)}"
             f" rr={fmt(e.rr)} stab={stab}"
         )
     return "\n".join(out) + "\n"
-
-
-def _stabilization_power(m: TransitionMonoid, e) -> int:
-    seen = {m.identity: 0}
-    cur = m.identity
-    k = 0
-    while True:
-        cur = m.product(cur, e)
-        k += 1
-        if cur in seen:
-            return seen[cur]
-        seen[cur] = k
 
 
 def serialize(a: Artifact) -> str:

@@ -109,21 +109,23 @@ def fot_output_structure(
     return OutputStructure(tuple(nodes), labels, frozenset(edges))
 
 
-def _is_linear_order(nodes, edges) -> bool:
-    for u in nodes:
-        if (u, u) not in edges:
-            return False
-        for v in nodes:
-            le_uv = (u, v) in edges
-            le_vu = (v, u) in edges
-            if not (le_uv or le_vu):
-                return False
-            if le_uv and le_vu and u != v:
-                return False
-            for t in nodes:
-                if le_uv and (v, t) in edges and (u, t) not in edges:
-                    return False
-    return True
+def _linear_order(nodes, edges) -> Optional[list]:
+    """The nodes in increasing order when ``edges`` is a linear order on them
+    (reflexive, antisymmetric, transitive, total), else None.
+
+    In a linear order the i-th node has exactly i predecessors (itself
+    included), so sorting by predecessor count gives the only candidate; the
+    relation is then exactly the pairs ``(u_i, u_j)`` with ``i <= j``.
+    """
+    preds = dict.fromkeys(nodes, 0)
+    for _, v in edges:
+        preds[v] += 1
+    ranked = sorted(nodes, key=preds.__getitem__)
+    for i, u in enumerate(ranked):
+        for j, v in enumerate(ranked):
+            if ((u, v) in edges) != (i <= j):
+                return None
+    return ranked
 
 
 def fot_eval(T: FoTransduction, w, registry: Optional[MonoidRegistry] = None) -> FotResult:
@@ -134,11 +136,8 @@ def fot_eval(T: FoTransduction, w, registry: Optional[MonoidRegistry] = None) ->
     if not fot_domain_check(T, w, registry, session):
         return FotResult(None, "domain")
     structure = fot_output_structure(T, w, registry, session)
-    if not _is_linear_order(structure.nodes, structure.edges):
+    ranked = _linear_order(structure.nodes, structure.edges)
+    if ranked is None:
         return FotResult(None, "order-not-linear", structure)
-    ranked = sorted(
-        structure.nodes,
-        key=lambda u: sum(1 for v in structure.nodes if (v, u) in structure.edges),
-    )
     output = tuple(structure.labels[u] for u in ranked)
     return FotResult(output, None, structure)

@@ -21,10 +21,10 @@ from .words import (
     RIGHT_MARK,
     as_word,
     dense_dfa,
-    dfa_combine,
     dfa_intersect,
     dfa_is_counter_free,
     dfa_minimize,
+    dfa_project_bit,
     dfa_union,
     dfa_complement,
     dfa_universal,
@@ -190,11 +190,6 @@ def var_lt(x: str, y: str) -> Formula:
     return conj([Le(x, y), neg(Le(y, x))])
 
 
-def is_letter_on(alphabet: Alphabet, x: str) -> Formula:
-    """x carries a real letter; relativizes quantifiers on marked tapes."""
-    return disj([Letter(a, x) for a in alphabet])
-
-
 def linear_graph_sentence() -> Formula:
     """Nonempty total order: a first node, a last node, all pairs comparable."""
     return conj(
@@ -300,7 +295,6 @@ class MonoidRegistry:
 
     def __init__(self):
         self._monoids: dict = {}
-        self._by_id: dict = {}
         self._reports: dict = {}
 
     def register(self, name: str, monoid: TransitionMonoid):
@@ -314,7 +308,6 @@ class MonoidRegistry:
                 f"monoid {name!r} is not aperiodic; class atoms would not be star-free"
             )
         self._monoids[name] = monoid
-        self._by_id[name] = {monoid.element_id(e): e for e in monoid.elements}
         self._reports[name] = report
         return report
 
@@ -324,12 +317,10 @@ class MonoidRegistry:
         return self._monoids[name]
 
     def element(self, name: str, elem_id: str) -> BehaviorProfile:
-        table = self._by_id.get(name)
-        if table is None:
-            raise RegistryError(f"unknown monoid {name!r}")
-        if elem_id not in table:
+        by_id = self.monoid(name).by_id
+        if elem_id not in by_id:
             raise RegistryError(f"monoid {name!r} has no element {elem_id!r}")
-        return table[elem_id]
+        return by_id[elem_id]
 
     def names(self):
         return tuple(self._monoids)
@@ -339,18 +330,27 @@ class MonoidRegistry:
 # Evaluation
 
 
-class _EvalCtx:
-    """Word-level caches: per monoid, classes of prefixes/suffixes/factors."""
+class EvalSession:
+    """Reusable evaluator for one word.
 
-    def __init__(self, word, registry: Optional[MonoidRegistry], marked: bool):
-        self.word = word
-        self.n = len(word)
+    Caches, per monoid, the classes of prefixes, suffixes and factors, and
+    the truth of every subformula under each restriction of the assignment
+    to its free variables.  Formula nodes are memoized by identity, so
+    sharing subtrees across formulas (as the generated transductions do)
+    pays off.
+    """
+
+    def __init__(self, w, registry: Optional[MonoidRegistry] = None, marked: bool = False):
+        self.word = as_word(w)
+        self.n = len(self.word)
         self.registry = registry
         self.marked = marked
         self.positions = range(0, self.n + 2) if marked else range(1, self.n + 1)
         self._prefix: dict = {}
         self._suffix: dict = {}
         self._factor: dict = {}
+        self._memo: dict = {}
+        self._fvars: dict = {}
 
     def symbol_at(self, i: int):
         if self.marked:
@@ -365,20 +365,15 @@ class _EvalCtx:
             raise RegistryError("class atom used without a monoid registry")
         return self.registry.monoid(name)
 
-    def _prefixes(self, name):
+    def prefix_class(self, name, i: int) -> BehaviorProfile:
+        """Class of the real letters strictly before position ``i``."""
         if name not in self._prefix:
             m = self._mono(name)
             acc = [m.identity]
             for a in self.word:
                 acc.append(m.product(acc[-1], m.morphism[a]))
             self._prefix[name] = acc  # acc[i] = class of word[0:i]
-        return self._prefix[name]
-
-    def prefix_class(self, name, i: int) -> BehaviorProfile:
-        """Class of the real letters strictly before position ``i``."""
-        acc = self._prefixes(name)
-        k = min(max(i - 1, 0), self.n)
-        return acc[k]
+        return self._prefix[name][min(max(i - 1, 0), self.n)]
 
     def suffix_class(self, name, i: int) -> BehaviorProfile:
         """Class of the real letters strictly after position ``i``."""
@@ -389,9 +384,7 @@ class _EvalCtx:
                 acc.append(m.product(m.morphism[a], acc[-1]))
             acc.reverse()
             self._suffix[name] = acc  # acc[i] = class of word[i:]
-        acc = self._suffix[name]
-        k = min(max(i, 0), self.n)
-        return acc[k]
+        return self._suffix[name][min(max(i, 0), self.n)]
 
     def factor_class(self, name, i: int, j: int) -> BehaviorProfile:
         """Class of the real letters at positions ``i..j`` inclusive."""
@@ -406,18 +399,6 @@ class _EvalCtx:
                 e = m.product(e, m.morphism[a])
             self._factor[key] = e
         return self._factor[key]
-
-
-class EvalSession:
-    """Reusable evaluator for one word: caches class folds and the truth of
-    every subformula under each restriction of the assignment to its free
-    variables.  Formula nodes are memoized by identity, so sharing subtrees
-    across formulas (as the generated transductions do) pays off."""
-
-    def __init__(self, w, registry: Optional[MonoidRegistry] = None, marked: bool = False):
-        self.ctx = _EvalCtx(as_word(w), registry, marked)
-        self._memo: dict = {}
-        self._fvars: dict = {}
 
     def _free(self, phi: Formula):
         got = self._fvars.get(id(phi))
@@ -442,28 +423,24 @@ class EvalSession:
         return got
 
     def _compute(self, phi: Formula, sigma: dict) -> bool:
-        ctx = self.ctx
         if isinstance(phi, TrueF):
             return True
         if isinstance(phi, Letter):
-            return ctx.symbol_at(sigma[phi.var]) == phi.symbol
+            return self.symbol_at(sigma[phi.var]) == phi.symbol
         if isinstance(phi, Le):
             return sigma[phi.left] <= sigma[phi.right]
         if isinstance(phi, FactorClass):
             i, j = sigma[phi.left], sigma[phi.right]
             if i > j:
                 raise MalformedClassAtom(f"factor bounds {i} > {j}")
-            return ctx.registry.element(phi.monoid, phi.element) == ctx.factor_class(
-                phi.monoid, i, j
-            )
+            e = self.factor_class(phi.monoid, i, j)
+            return self.registry.element(phi.monoid, phi.element) == e
         if isinstance(phi, PrefixClass):
-            return ctx.registry.element(phi.monoid, phi.element) == ctx.prefix_class(
-                phi.monoid, sigma[phi.var]
-            )
+            e = self.prefix_class(phi.monoid, sigma[phi.var])
+            return self.registry.element(phi.monoid, phi.element) == e
         if isinstance(phi, SuffixClass):
-            return ctx.registry.element(phi.monoid, phi.element) == ctx.suffix_class(
-                phi.monoid, sigma[phi.var]
-            )
+            e = self.suffix_class(phi.monoid, sigma[phi.var])
+            return self.registry.element(phi.monoid, phi.element) == e
         if isinstance(phi, And):
             return all(self._eval(a, sigma) for a in phi.args)
         if isinstance(phi, Or):
@@ -473,7 +450,7 @@ class EvalSession:
         if isinstance(phi, (Exists, Forall)):
             want = isinstance(phi, Exists)
             sigma2 = dict(sigma)
-            for i in ctx.positions:
+            for i in self.positions:
                 sigma2[phi.var] = i
                 if self._eval(phi.body, sigma2) == want:
                     return want
@@ -487,59 +464,13 @@ def eval_formula(
     assignment: Optional[dict] = None,
     registry: Optional[MonoidRegistry] = None,
     marked: bool = False,
-    session: Optional[EvalSession] = None,
 ) -> bool:
     """Standard FO semantics; quantifiers over the context's position range."""
     sigma = dict(assignment or {})
     missing = free_vars(phi) - set(sigma)
     if missing:
         raise UnboundVariable(f"unbound variables: {sorted(missing)}")
-    if session is not None:
-        return session.eval(phi, sigma)
-    ctx = _EvalCtx(as_word(w), registry, marked)
-    return _eval(phi, ctx, sigma)
-
-
-def _eval(phi: Formula, ctx: _EvalCtx, sigma: dict) -> bool:
-    if isinstance(phi, TrueF):
-        return True
-    if isinstance(phi, Letter):
-        return ctx.symbol_at(sigma[phi.var]) == phi.symbol
-    if isinstance(phi, Le):
-        return sigma[phi.left] <= sigma[phi.right]
-    if isinstance(phi, FactorClass):
-        i, j = sigma[phi.left], sigma[phi.right]
-        if i > j:
-            raise MalformedClassAtom(f"factor bounds {i} > {j}")
-        e = ctx.factor_class(phi.monoid, i, j)
-        return ctx.registry.element(phi.monoid, phi.element) == e
-    if isinstance(phi, PrefixClass):
-        e = ctx.prefix_class(phi.monoid, sigma[phi.var])
-        return ctx.registry.element(phi.monoid, phi.element) == e
-    if isinstance(phi, SuffixClass):
-        e = ctx.suffix_class(phi.monoid, sigma[phi.var])
-        return ctx.registry.element(phi.monoid, phi.element) == e
-    if isinstance(phi, And):
-        return all(_eval(a, ctx, sigma) for a in phi.args)
-    if isinstance(phi, Or):
-        return any(_eval(a, ctx, sigma) for a in phi.args)
-    if isinstance(phi, Not):
-        return not _eval(phi.arg, ctx, sigma)
-    if isinstance(phi, Exists):
-        for i in ctx.positions:
-            sigma2 = dict(sigma)
-            sigma2[phi.var] = i
-            if _eval(phi.body, ctx, sigma2):
-                return True
-        return False
-    if isinstance(phi, Forall):
-        for i in ctx.positions:
-            sigma2 = dict(sigma)
-            sigma2[phi.var] = i
-            if not _eval(phi.body, ctx, sigma2):
-                return False
-        return True
-    raise TypeError(f"not a formula: {phi!r}")
+    return EvalSession(w, registry, marked).eval(phi, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +538,7 @@ class _Compiler:
         inner_scope = scope + (var,)
         body = self.compile(phi.body, inner_scope)
         body = dfa_intersect(body, self._exactly_one(len(inner_scope), len(scope)))
-        projected = dfa_combine("project-bit", body, len(scope))
+        projected = dfa_project_bit(body, len(scope))
         if negate:
             projected = dfa_complement(projected)
         return projected

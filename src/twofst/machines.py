@@ -92,18 +92,6 @@ def erase_b_seq():
     return make_seq((0,), AB, AB, 0, {0}, rules)
 
 
-def marker_after_b_seq():
-    """Annotates each letter with a bit: does the strict prefix contain a b."""
-    out_syms = tuple((s, (b,)) for s in "ab" for b in (0, 1))
-    rules = {
-        (0, "a"): (0, (("a", (0,)),)),
-        (0, "b"): (1, (("b", (0,)),)),
-        (1, "a"): (1, (("a", (1,)),)),
-        (1, "b"): (1, (("b", (1,)),)),
-    }
-    return make_seq((0, 1), AB, Alphabet(out_syms), 0, {0, 1}, rules)
-
-
 def parity_twoway():
     """One-way-moving two-way automaton accepting words with an even number
     of a's; its transition monoid contains a group, so it is not aperiodic."""
@@ -144,7 +132,3 @@ def double_writer():
         rules[("d", a)] = ("d", (a, a), 1)
     return make_twoway(("d",), AB, AB, "d", {"d"}, rules)
 
-
-def crafted_aperiodic_machines():
-    """Three tiny aperiodic machines for construction round trips."""
-    return [copier(), reverser(), block_doubler()]

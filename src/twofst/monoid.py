@@ -9,11 +9,17 @@ and the run-reachability decisions used by the logical translations.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .words import LEFT_MARK, RIGHT_MARK, as_word
+from .words import (
+    LEFT_MARK,
+    RIGHT_MARK,
+    AperiodicityReport,
+    aperiodicity_index,
+    as_word,
+    monoid_closure,
+    show_word,
+)
 from .twoway import TwoWayTransducer, behaviors
 
 
@@ -214,6 +220,7 @@ class TransitionMonoid:
     identity: BehaviorProfile
     morphism: dict  # symbol (letters and endmarkers) -> profile
     representatives: dict  # profile -> shortest witness word
+    by_id: dict  # element id -> profile
     _products: dict = field(default_factory=dict, repr=False)
 
     def product(self, x: BehaviorProfile, y: BehaviorProfile) -> BehaviorProfile:
@@ -225,22 +232,22 @@ class TransitionMonoid:
         return got
 
     def element_id(self, e: BehaviorProfile) -> str:
-        from .words import show_word
-
-        rep = self.representatives[e]
-        return show_word(rep) if rep else "-"
+        return _id_of(self.representatives[e])
 
     def element_by_id(self, name: str) -> BehaviorProfile:
-        for e in self.elements:
-            if self.element_id(e) == name:
-                return e
-        raise KeyError(f"no monoid element named {name!r}")
+        if name not in self.by_id:
+            raise KeyError(f"no monoid element named {name!r}")
+        return self.by_id[name]
 
     def class_of_word(self, w) -> BehaviorProfile:
         e = self.identity
         for a in as_word(w):
             e = self.product(e, self.morphism[a])
         return e
+
+
+def _id_of(rep) -> str:
+    return show_word(rep) if rep else "-"
 
 
 def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
@@ -255,18 +262,9 @@ def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
     morphism = dict(letter_profiles)
     morphism[LEFT_MARK] = _mark_profile(t, LEFT_MARK)
     morphism[RIGHT_MARK] = _mark_profile(t, RIGHT_MARK)
-    elements = {ident: ()}
-    queue = deque([ident])
-    while queue:
-        e = queue.popleft()
-        rep = elements[e]
-        for a in t.in_alphabet:
-            f = glue(e, letter_profiles[a])
-            if f not in elements:
-                elements[f] = rep + (a,)
-                queue.append(f)
-    ordered = tuple(elements)
-    return TransitionMonoid(t, ordered, ident, morphism, dict(elements))
+    reps = monoid_closure(ident, letter_profiles, glue)
+    by_id = {_id_of(rep): e for e, rep in reps.items()}
+    return TransitionMonoid(t, tuple(reps), ident, morphism, reps, by_id)
 
 
 def _mark_profile(t: TwoWayTransducer, mark: str) -> BehaviorProfile:
@@ -286,33 +284,10 @@ def _mark_profile(t: TwoWayTransducer, mark: str) -> BehaviorProfile:
     return BehaviorProfile.from_pairs(t.states, ll, lr, rl, rr)
 
 
-@dataclass(frozen=True)
-class AperiodicityReport:
-    aperiodic: bool
-    index: Optional[int]
-    witness: Optional[BehaviorProfile] = None
-
-
 def is_aperiodic(m: TransitionMonoid) -> AperiodicityReport:
     """Least global n with x^n = x^(n+1); x^0 is the identity, so the
-    trivial monoid has index 0."""
-    best = 0
-    for e in m.elements:
-        powers = [m.identity]
-        seen = {m.identity: 0}
-        cur = m.identity
-        while True:
-            cur = m.product(cur, e)
-            if cur in seen:
-                start = seen[cur]
-                period = len(powers) - start
-                if period != 1:
-                    return AperiodicityReport(False, None, e)
-                best = max(best, start)
-                break
-            seen[cur] = len(powers)
-            powers.append(cur)
-    return AperiodicityReport(True, best, None)
+    trivial monoid has index 0.  The witness is an element with a period."""
+    return aperiodicity_index(m.elements, m.identity, m.product)
 
 
 def class_of(m: TransitionMonoid, w) -> BehaviorProfile:

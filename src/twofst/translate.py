@@ -423,8 +423,9 @@ def twoway_to_fot(
             order[(q, q2)] = _order_formula(b, q, q2)
 
     # --- domain: linear word whose class is accepting
+    accepted = accepted_classes(m)
     dom_disjuncts = []
-    for e in accepted_classes(m):
+    for e in accepted:
         per_last = []
         for a in letters:
             for e1 in elements:
@@ -444,6 +445,8 @@ def twoway_to_fot(
                 )
             )
     dom = conj([linear_graph_sentence(), disj(dom_disjuncts)])
+    if m.identity in accepted:  # the empty word, which has no first node
+        dom = disj([dom, Forall("x", neg(_is_real("x", letters)))])
 
     return FoTransduction(
         in_alphabet=t.in_alphabet,

@@ -50,9 +50,6 @@ class TwoWayTransducer:
             if a == RIGHT_MARK and move == 1:
                 raise TwoWayError("move on right endmarker must be -1 or 0")
 
-    def state_index(self, q) -> int:
-        return self.states.index(q)
-
 
 def make_twoway(states, in_alphabet, out_alphabet, initial, finals, rules) -> TwoWayTransducer:
     """``rules`` maps (state, symbol) -> (next_state, output, move)."""

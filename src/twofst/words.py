@@ -8,7 +8,6 @@ symbols, which keeps fixtures readable.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from types import MappingProxyType
@@ -465,21 +464,6 @@ def dfa_project_bit(d: Dfa, bit: int) -> Dfa:
     )
 
 
-def dfa_combine(kind: str, *operands) -> Dfa:
-    """Set-level algebra on DFAs; ``project-bit`` determinizes internally."""
-    if kind == "intersect":
-        return dfa_intersect(*operands)
-    if kind == "union":
-        return dfa_union(*operands)
-    if kind == "complement":
-        return dfa_complement(*operands)
-    if kind == "project-bit":
-        return dfa_project_bit(*operands)
-    if kind == "determinize":
-        return dfa_minimize(*operands)
-    raise ValueError(f"unknown combine kind {kind!r}")
-
-
 def dfa_universal(alphabet_: Alphabet, accept: bool = True) -> Dfa:
     return _dense(alphabet_, (0,) * len(alphabet_), ((0,),), 0, (bool(accept),), minimal=True)
 
@@ -501,78 +485,83 @@ def dfa_only_word(alphabet_: Alphabet, w) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# Counter-freeness
+# Finite monoids and aperiodicity
 
 
-@dataclass(frozen=True)
-class CounterFreeReport:
-    aperiodic: bool
-    index: Optional[int]
-    witness: Optional[tuple] = None  # a shortest word whose action has a period
+def monoid_closure(identity, generators: Mapping, mul) -> dict:
+    """Closure of ``generators`` (name -> element) under ``mul``.
 
-
-def _function_monoid(states: tuple, actions: dict):
-    """Closure of letter actions (tuples of state indices) under composition.
-
-    Returns (elements, rep) where rep maps each element to a shortest word.
+    Maps each element to a shortest word of generator names; the identity
+    comes first, then the elements in BFS order, generators in their order.
     """
-    n = len(states)
-    identity = tuple(range(n))
     elements = {identity: ()}
-    queue = deque([identity])
-    gens = list(actions.items())
-    while queue:
-        f = queue.popleft()
-        wf = elements[f]
-        for a, g in gens:
-            h = tuple(g[i] for i in f)  # first f (left factor), then g
-            if h not in elements:
-                elements[h] = wf + (a,)
-                queue.append(h)
+    queue = [identity]
+    for e in queue:
+        word = elements[e]
+        for a, g in generators.items():
+            f = mul(e, g)
+            if f not in elements:
+                elements[f] = word + (a,)
+                queue.append(f)
     return elements
 
 
-def _aperiodicity_index(elements) -> tuple:
-    """Least global n with f^n = f^(n+1), or a witness element with a period.
+def power_cycle(f, identity, mul) -> tuple:
+    """``(start, period)`` of the powers of ``f``: the least ``start`` with
+    ``f^start = f^(start + period)``, where ``f^0`` is the identity."""
+    seen = {identity: 0}
+    cur = identity
+    k = 0
+    while True:
+        cur = mul(cur, f)
+        k += 1
+        if cur in seen:
+            return seen[cur], k - seen[cur]
+        seen[cur] = k
 
-    Convention: f^0 is the identity, so the trivial monoid has index 0.
+
+@dataclass(frozen=True)
+class AperiodicityReport:
+    aperiodic: bool
+    index: Optional[int]
+    witness: object = None  # an element with a period, or for DFAs its shortest word
+
+
+def aperiodicity_index(elements, identity, mul) -> AperiodicityReport:
+    """Least global n with x^n = x^(n+1), or the first element with a period.
+
+    Convention: x^0 is the identity, so the trivial monoid has index 0.
     """
-    n = len(next(iter(elements)))
-    identity = tuple(range(n))
     best = 0
-    for f in elements:
-        powers = [identity]
-        seen = {identity: 0}
-        cur = identity
-        while True:
-            cur = tuple(f[i] for i in cur)
-            if cur in seen:
-                start = seen[cur]
-                period = len(powers) - start
-                if period != 1:
-                    return None, f
-                best = max(best, start)
-                break
-            seen[cur] = len(powers)
-            powers.append(cur)
-    return best, None
+    for e in elements:
+        start, period = power_cycle(e, identity, mul)
+        if period != 1:
+            return AperiodicityReport(False, None, e)
+        best = max(best, start)
+    return AperiodicityReport(True, best, None)
 
 
-def dfa_is_counter_free(d: Dfa) -> CounterFreeReport:
+def _then(f: tuple, g: tuple) -> tuple:
+    """Action of ``f`` followed by ``g``, on state numbers."""
+    return tuple(map(g.__getitem__, f))
+
+
+def dfa_is_counter_free(d: Dfa) -> AperiodicityReport:
     """Decide aperiodicity of the transition monoid of ``d``.
 
     One generator per symbol class, named by its first symbol: the other
-    symbols of a class act identically.
+    symbols of a class act identically.  The witness is a shortest word.
     """
     first = {}
     for j, c in enumerate(d._cls):
         first.setdefault(c, d.alphabet.symbols[j])
     actions = {a: tuple(row[c] for row in d._rows) for c, a in first.items()}
-    elements = _function_monoid(d.states, actions)
-    index, witness = _aperiodicity_index(elements)
-    if witness is not None:
-        return CounterFreeReport(False, None, elements[witness])
-    return CounterFreeReport(True, index, None)
+    identity = tuple(range(len(d.states)))
+    elements = monoid_closure(identity, actions, _then)
+    report = aperiodicity_index(elements, identity, _then)
+    if not report.aperiodic:
+        return AperiodicityReport(False, None, elements[report.witness])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +585,6 @@ class SequentialTransducer:
             raise ValueError("step and produce must share their domain")
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
-
-    def max_production(self) -> int:
-        return max((len(v) for v in self.out.values()), default=0)
 
 
 def make_seq(states, in_alphabet, out_alphabet, initial, finals, rules) -> SequentialTransducer:

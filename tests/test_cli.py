@@ -253,6 +253,13 @@ def test_cli_to_fot_and_back(tmp_path, capsys):
         "3",
     )
     assert code == 0
+    # the empty word too: the machine maps it to itself, and so does the
+    # domain of the generated transduction
+    code, out, _ = run_cli(
+        capsys, "check-equiv", data_path("fig1.2wt"), fot_file,
+        "--max-len", "2", "--min-len", "0", "--json",
+    )
+    assert code == 0 and json.loads(out)["words_tested"] == 7
 
 
 def test_cli_eval_formula(tmp_path, capsys):

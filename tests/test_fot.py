@@ -2,7 +2,20 @@ import pytest
 
 from twofst.machines import AB, block_double
 from twofst.fot import FoTransduction, LabelConflict, fot_domain_check, fot_eval
-from twofst.logic import FALSE, Le, Letter, TrueF, conj, linear_graph_sentence
+from twofst.logic import (
+    FALSE,
+    Exists,
+    Forall,
+    Le,
+    Letter,
+    TrueF,
+    conj,
+    disj,
+    linear_graph_sentence,
+    neg,
+    var_eq,
+    var_lt,
+)
 from twofst.words import show_word
 
 from conftest import words_upto
@@ -80,6 +93,30 @@ def test_non_total_order_is_undefined_not_a_crash():
     )
     assert fot_eval(T2, "a").output == ("a",)
     assert fot_eval(T2, "aa").reason == "order-not-linear"
+
+    def one_copy(order):
+        return FoTransduction(
+            AB, AB, linear_graph_sentence(), (1,), {(1, "a"): Letter("a", "x")}, {(1, 1): order}
+        )
+
+    # total but not antisymmetric: every pair in both directions
+    T3 = one_copy(TrueF())
+    assert fot_eval(T3, "a").output == ("a",)
+    assert fot_eval(T3, "aa").reason == "order-not-linear"
+    # reflexive, total and antisymmetric, but not transitive: on three nodes
+    # the cycle 1 -> 2 -> 3 -> 1 of successors plus last-to-first
+    succ = conj([var_lt("x", "y"), neg(Exists("z", conj([var_lt("x", "z"), var_lt("z", "y")])))])
+    wrap = conj([Forall("z", Le("z", "x")), Forall("z", Le("y", "z"))])
+    T4 = one_copy(disj([var_eq("x", "y"), succ, wrap]))
+    res = fot_eval(T4, "aaa")
+    assert res.reason == "order-not-linear"
+    edges = res.structure.edges
+    nodes = res.structure.nodes
+    assert all((u, u) in edges for u in nodes)
+    for u in nodes:
+        for v in nodes:
+            if u != v:
+                assert ((u, v) in edges) != ((v, u) in edges), (u, v)
 
 
 def test_contextual_stability(doubler_fot):

@@ -224,12 +224,14 @@ def test_subst_var_capture():
 
 
 def test_session_matches_eval(registry):
+    # the reference is the compiled automaton, independent of the evaluator;
+    # one session serves every formula of a word, so its memo is shared
     rng = random.Random(3)
-    for _ in range(25):
-        phi = random_formula(rng, ["x"], 3)
-        for w in ["", "a", "ab", "bba"]:
-            session = EvalSession(w, registry)
+    formulas = [random_formula(rng, ["x"], 3) for _ in range(25)]
+    dfas = [compile_to_dfa(phi, ["x"], AB, registry) for phi in formulas]
+    for w in ["", "a", "ab", "bba"]:
+        session = EvalSession(w, registry)
+        for phi, d in zip(formulas, dfas):
             for i in range(1, len(w) + 1):
-                assert session.eval(phi, {"x": i}) == eval_formula(
-                    phi, w, {"x": i}, registry
-                )
+                want = dfa_accepts(d, mark_word(w, {"x": i}, ["x"]))
+                assert session.eval(phi, {"x": i}) == want, (show_formula(phi), w, i)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twofst.machines import AB, copier, parity_twoway
+from twofst.machines import AB, copier, parity_twoway, reverser
 from twofst.monoid import (
     accepted_classes,
     accepts_from_class,
@@ -166,6 +166,25 @@ def test_class_language_counter_free(doubler_monoid):
 
     for e in doubler_monoid.elements:
         assert dfa_is_counter_free(class_language_dfa(doubler_monoid, e)).aperiodic
+
+
+def test_cayley_dfa_has_the_same_aperiodicity(doubler):
+    # the class DFA runs the monoid on itself, so its transition monoid is the
+    # monoid again: both users of the shared engine must agree
+    from twofst.words import dfa_is_counter_free
+
+    expected = {"doubler": 2, "copier": 1, "reverser": 1, "parity": None}
+    machines = {
+        "doubler": doubler, "copier": copier(), "reverser": reverser(), "parity": parity_twoway(),
+    }
+    for name, t in machines.items():
+        m = transition_monoid(t)
+        rep = is_aperiodic(m)
+        cf = dfa_is_counter_free(class_language_dfa(m, m.identity))
+        assert (cf.aperiodic, cf.index) == (rep.aperiodic, rep.index), name
+        assert rep.index == expected[name], name
+        if not rep.aperiodic:
+            assert cf.witness == m.representatives[rep.witness], name
 
 
 def test_acceptance_from_class(doubler, doubler_monoid):

@@ -251,7 +251,7 @@ def test_twoway_to_fot_running_example(doubler):
 def test_twoway_to_fot_equivalence(doubler):
     reg = MonoidRegistry()
     T = twoway_to_fot(doubler, reg, "M")
-    for w in words_upto(5, min_len=1):
+    for w in words_upto(5):  # the empty word too: the machine maps it to itself
         got = fot_eval(T, w, reg)
         want = simulate(doubler, w)
         assert got.output == want.output, (w, got.reason)
@@ -277,10 +277,11 @@ def test_twoway_to_fot_partial_machine():
     t = make_twoway(("s", "t"), AB, AB, "s", {"t"}, rules)
     reg = MonoidRegistry()
     T = twoway_to_fot(t, reg, "M")
-    for w in words_upto(5, min_len=1):
+    for w in words_upto(5):  # the empty word too, which the machine rejects
         got = fot_eval(T, w, reg)
         want = simulate(t, w)
         assert got.output == want.output, w
+    assert fot_eval(T, "", reg).reason == "domain"
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +370,7 @@ def test_round_trip_small_machines(machine):
     with budget(f"round trip ({machine.__name__})", 8.0):
         T = twoway_to_fot(t, reg, "M")
         rt = fot_to_twoway(T, reg, bound=3)
-    # the empty word is a known boundary case: transduction domains built on
-    # the linear-graph sentence exclude it
-    for w in words_upto(4, min_len=1):
+    for w in words_upto(4):  # the empty word too, which both machines map to itself
         assert simulate(rt, w).output == simulate(t, w).output, w
 
 
@@ -383,7 +382,7 @@ def test_round_trip_third_crafted_machine():
     t = make_twoway(("e",), AB, AB, "e", {"e"}, rules)
     reg = MonoidRegistry()
     rt = fot_to_twoway(twoway_to_fot(t, reg, "M"), reg, bound=3)
-    for w in words_upto(4, min_len=1):
+    for w in words_upto(4):
         assert simulate(rt, w).output == simulate(t, w).output, w
 
 

@@ -13,7 +13,6 @@ from twofst.words import (
     as_word,
     dense_dfa,
     dfa_accepts,
-    dfa_combine,
     dfa_complement,
     dfa_intersect,
     dfa_is_counter_free,
@@ -74,12 +73,12 @@ def test_dfa_accepts_examples():
 
 def test_combine_boolean_algebra():
     d = dfa_contains_b()
-    empty = dfa_combine("intersect", d, dfa_combine("complement", d))
+    empty = dfa_intersect(d, dfa_complement(d))
     assert not dfa_language_upto(empty, 5)
-    full = dfa_combine("union", d, dfa_combine("complement", d))
+    full = dfa_union(d, dfa_complement(d))
     assert dfa_same_language(full, dfa_universal(AB))
     # double complement accepts exactly the original words (enumeration <= 6)
-    dd = dfa_combine("complement", dfa_combine("complement", d))
+    dd = dfa_complement(dfa_complement(d))
     for w in words_upto(6):
         assert dfa_accepts(dd, w) == dfa_accepts(d, w)
 
@@ -97,7 +96,7 @@ def test_project_bit():
             else:
                 delta[(q, s)] = q
     d = make_dfa((0, 1, 2), marked, 0, {1}, delta)
-    projected = dfa_combine("project-bit", d, 0)
+    projected = dfa_project_bit(d, 0)
     want = dfa_contains_b()  # pattern: A* a A*, rebuild directly
     delta2 = {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1}
     want = make_dfa((0, 1), AB, 0, {1}, delta2)
