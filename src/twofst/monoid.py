@@ -1,10 +1,10 @@
 """Behavior profiles as monoid elements and the transition monoid.
 
-A profile packs the four partial behavior functions of a factor.  Profiles
-multiply by gluing: a token walks over the abstract boundary graph of the
-two segments, bouncing according to the stored behaviors, with cycle
-detection yielding undefined entries.  The same walk engine, generalized to
-segment chains with explicit endmarker cells, powers class-based acceptance
+A profile packs the four partial behavior functions of a factor into one
+integer code per state and entry side.  Profiles multiply by gluing: a run
+bounces between the two codes at the middle boundary, and a run that comes
+back to a boundary state it has crossed in loops.  A walk engine over
+segment chains with explicit endmarker cells powers class-based acceptance
 and the run-reachability decisions used by the logical translations.
 """
 from __future__ import annotations
@@ -15,8 +15,10 @@ from .words import (
     LEFT_MARK,
     RIGHT_MARK,
     AperiodicityReport,
+    Dfa,
     aperiodicity_index,
     as_word,
+    dense_dfa,
     monoid_closure,
     show_word,
 )
@@ -25,28 +27,61 @@ from .twoway import TwoWayTransducer, behaviors
 
 @dataclass(frozen=True)
 class BehaviorProfile:
-    """The four behaviors of a factor, canonically sorted by state index."""
+    """The four behaviors of a factor, as one integer code per entry.
 
-    order: tuple  # the machine's state tuple, fixing the sort order
-    ll: tuple
-    lr: tuple
-    rl: tuple
-    rr: tuple
+    With ``n = len(order)``, ``code[i]`` tells what a run entering the
+    factor from the left in state ``order[i]`` does, and ``code[n + i]`` the
+    same for an entry from the right: ``2r`` leaves on the left in
+    ``order[r]``, ``2r + 1`` leaves on the right in ``order[r]``, and ``-1``
+    loops or blocks.  ``ll``, ``lr``, ``rl`` and ``rr`` read the four partial
+    functions back as state pairs, sorted by state index.
+    """
+
+    order: tuple  # the machine's state tuple, fixing the numbering
+    code: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.code))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_pairs(order, ll, lr, rl, rr) -> "BehaviorProfile":
-        pos = {q: i for i, q in enumerate(order)}
-        key = lambda pair: pos[pair[0]]
-        return BehaviorProfile(
-            tuple(order),
-            tuple(sorted(ll, key=key)),
-            tuple(sorted(lr, key=key)),
-            tuple(sorted(rl, key=key)),
-            tuple(sorted(rr, key=key)),
+        """Profile from its four behaviors given as ``(state, state)`` pairs."""
+        order = tuple(order)
+        index = {q: i for i, q in enumerate(order)}
+        n = len(order)
+        code = [-1] * (2 * n)
+        for offset, exit_right, pairs in ((0, 0, ll), (0, 1, lr), (n, 0, rl), (n, 1, rr)):
+            for p, q in pairs:
+                code[offset + index[p]] = 2 * index[q] + exit_right
+        return BehaviorProfile(order, tuple(code))
+
+    def _pairs(self, entry_right: int, exit_right: int) -> tuple:
+        order = self.order
+        n = len(order)
+        half = self.code[n * entry_right : n * (entry_right + 1)]
+        return tuple(
+            (order[i], order[c >> 1]) for i, c in enumerate(half) if c >= 0 and c & 1 == exit_right
         )
 
-    def func(self, part: str) -> dict:
-        return dict(getattr(self, part))
+    @property
+    def ll(self) -> tuple:
+        return self._pairs(0, 0)
+
+    @property
+    def lr(self) -> tuple:
+        return self._pairs(0, 1)
+
+    @property
+    def rl(self) -> tuple:
+        return self._pairs(1, 0)
+
+    @property
+    def rr(self) -> tuple:
+        return self._pairs(1, 1)
 
     def check_disjoint(self) -> bool:
         left = {p for p, _ in self.ll} & {p for p, _ in self.lr}
@@ -64,8 +99,9 @@ class BehaviorProfile:
 
 
 def identity_profile(order) -> BehaviorProfile:
-    ident = tuple((q, q) for q in order)
-    return BehaviorProfile(tuple(order), (), ident, ident, ())
+    n = len(order)
+    crossing = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
+    return BehaviorProfile(tuple(order), crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +112,14 @@ class ProfileSeg:
     """A factor known only through its behavior profile."""
 
     def __init__(self, profile: BehaviorProfile):
-        self.ll = dict(profile.ll)
-        self.lr = dict(profile.lr)
-        self.rl = dict(profile.rl)
-        self.rr = dict(profile.rr)
+        self.profile = profile
 
     def run(self, side: str, q):
-        if side == "L":
-            if q in self.ll:
-                return ("exit_left", self.ll[q])
-            if q in self.lr:
-                return ("exit_right", self.lr[q])
-        else:
-            if q in self.rl:
-                return ("exit_left", self.rl[q])
-            if q in self.rr:
-                return ("exit_right", self.rr[q])
-        return ("dead",)
+        order, code = self.profile.order, self.profile.code
+        c = code[order.index(q) + (len(order) if side == "R" else 0)]
+        if c < 0:
+            return ("dead",)
+        return ("exit_right" if c & 1 else "exit_left", order[c >> 1])
 
 
 class MarkSeg:
@@ -190,23 +217,45 @@ def chain_walk(segments, start_index: int, start_side: str, start_state):
 
 
 def glue(p: BehaviorProfile, q: BehaviorProfile) -> BehaviorProfile:
-    """Profile of any concatenation ``uv`` from the profiles of its parts."""
+    """Profile of any concatenation ``uv`` from the profiles of its parts.
+
+    A run that crosses the middle boundary bounces between the codes of
+    ``u`` and ``v``.  Its outcome depends only on the state in which it
+    enters ``v``, so each such state is resolved once; a run that enters
+    ``v`` again in a state still being resolved loops.
+    """
     if p.order != q.order:
         raise ValueError("profiles over different state sets")
-    segs = [ProfileSeg(p), ProfileSeg(q)]
-    ll, lr, rl, rr = [], [], [], []
-    for s in p.order:
-        _, outcome = chain_walk(segs, 0, "L", s)
-        if outcome[0] == "exit_left":
-            ll.append((s, outcome[1]))
-        elif outcome[0] == "exit_right":
-            lr.append((s, outcome[1]))
-        _, outcome = chain_walk(segs, 1, "R", s)
-        if outcome[0] == "exit_left":
-            rl.append((s, outcome[1]))
-        elif outcome[0] == "exit_right":
-            rr.append((s, outcome[1]))
-    return BehaviorProfile.from_pairs(p.order, ll, lr, rl, rr)
+    a, b = p.code, q.code
+    n = len(p.order)
+    resolved = {}  # state entering v from the left -> code of the run in uv
+
+    def from_middle(r):
+        path = []
+        while r not in resolved:
+            resolved[r] = -1  # reached again before this walk ends: a loop
+            path.append(r)
+            d = b[r]
+            if d < 0 or d & 1:
+                break
+            d = a[n + (d >> 1)]
+            if d < 0 or not d & 1:
+                break
+            r = d >> 1
+        else:
+            d = resolved[r]
+        for x in path:
+            resolved[x] = d
+        return d
+
+    code = [c if c < 0 or not c & 1 else from_middle(c >> 1) for c in a[:n]]
+    for d in b[n:]:  # entries from the right: a bounce re-enters u from the right
+        if d >= 0 and not d & 1:
+            d = a[n + (d >> 1)]
+            if d >= 0 and d & 1:
+                d = from_middle(d >> 1)
+        code.append(d)
+    return BehaviorProfile(p.order, tuple(code))
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +311,32 @@ def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
     morphism = dict(letter_profiles)
     morphism[LEFT_MARK] = _mark_profile(t, LEFT_MARK)
     morphism[RIGHT_MARK] = _mark_profile(t, RIGHT_MARK)
-    reps = monoid_closure(ident, letter_profiles, glue)
+    products = {}  # the element x letter products, which class_language_dfa reads
+
+    def mul(x, y):
+        got = products[(x, y)] = glue(x, y)
+        return got
+
+    reps = monoid_closure(ident, letter_profiles, mul)
     by_id = {_id_of(rep): e for e, rep in reps.items()}
-    return TransitionMonoid(t, tuple(reps), ident, morphism, reps, by_id)
+    return TransitionMonoid(t, tuple(reps), ident, morphism, reps, by_id, products)
 
 
 def _mark_profile(t: TwoWayTransducer, mark: str) -> BehaviorProfile:
+    """Profile of an endmarker cell; a run on it does not depend on the side
+    it entered from, so both halves of the code are equal."""
     seg = MarkSeg(t, mark)
-    ll, lr, rl, rr = [], [], [], []
+    index = {q: i for i, q in enumerate(t.states)}
+    half = []
     for q in t.states:
         outcome = seg.run("L", q)
         if outcome[0] == "exit_left":
-            ll.append((q, outcome[1]))
+            half.append(2 * index[outcome[1]])
         elif outcome[0] == "exit_right":
-            lr.append((q, outcome[1]))
-        outcome = seg.run("R", q)
-        if outcome[0] == "exit_left":
-            rl.append((q, outcome[1]))
-        elif outcome[0] == "exit_right":
-            rr.append((q, outcome[1]))
-    return BehaviorProfile.from_pairs(t.states, ll, lr, rl, rr)
+            half.append(2 * index[outcome[1]] + 1)
+        else:
+            half.append(-1)
+    return BehaviorProfile(t.states, tuple(half) * 2)
 
 
 def is_aperiodic(m: TransitionMonoid) -> AperiodicityReport:
@@ -298,24 +353,23 @@ def class_of(m: TransitionMonoid, w) -> BehaviorProfile:
     return m.class_of_word(w)
 
 
-def class_language_dfa(m: TransitionMonoid, e: BehaviorProfile):
-    """DFA over the input alphabet accepting exactly the class of ``e``."""
-    from .words import Dfa
+def class_language_dfa(m: TransitionMonoid, e: BehaviorProfile) -> Dfa:
+    """DFA over the input alphabet accepting exactly the class of ``e``.
 
+    Its states are the elements, numbered in order; letters with the same
+    profile share a symbol class.
+    """
     if e not in m.representatives:
         raise ValueError("element not in monoid")
-    t = m.machine
-    names = {elem: i for i, elem in enumerate(m.elements)}
-    delta = {}
-    for elem in m.elements:
-        for a in t.in_alphabet:
-            delta[(names[elem], a)] = names[m.product(elem, m.morphism[a])]
-    return Dfa(
-        tuple(range(len(m.elements))),
-        t.in_alphabet,
+    elements = m.elements
+    names = {elem: i for i, elem in enumerate(elements)}
+    return dense_dfa(
+        m.machine.in_alphabet,
+        len(elements),
         names[m.identity],
-        frozenset({names[e]}),
-        delta,
+        {names[e]},
+        m.morphism.__getitem__,
+        lambda i, g: names[m.product(elements[i], g)],
     )
 
 

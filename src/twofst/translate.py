@@ -22,7 +22,6 @@ from .words import (
     LEFT_MARK,
     RIGHT_MARK,
     SequentialTransducer,
-    Word,
     determinize_nfa,
     dfa_accepts,
     dfa_complement,
@@ -38,11 +37,9 @@ from .twoway import (
     merge_equivalent,
     mirror,
     normalize,
-    simulate,
     trim,
 )
 from .monoid import (
-    BehaviorProfile,
     MarkSeg,
     ProfileSeg,
     TransitionMonoid,
@@ -50,7 +47,6 @@ from .monoid import (
     accepted_classes,
     chain_walk,
     is_aperiodic,
-    reach_decision,
     transition_monoid,
 )
 from .logic import (

@@ -152,10 +152,10 @@ def behaviors(t: TwoWayTransducer, w):
 
     Runs are confined to the factor: they start at its first (last) position
     and end when the head leaves on either side.  Looping or blocking starts
-    contribute no pair.  For the empty factor the crossing behaviors are the
+    are undefined.  For the empty factor the crossing behaviors are the
     identity and the returning ones are empty.
     """
-    from .monoid import BehaviorProfile  # local import to avoid a cycle
+    from .monoid import BehaviorProfile, identity_profile  # local import to avoid a cycle
 
     w = as_word(w)
     for s in w:
@@ -165,12 +165,13 @@ def behaviors(t: TwoWayTransducer, w):
             raise SymbolNotInAlphabet(f"symbol {s!r} not in alphabet")
     order = t.states
     if not w:
-        ident = tuple((q, q) for q in order)
-        return BehaviorProfile(order, (), ident, ident, ())
-    ll, lr, rl, rr = [], [], [], []
-    for entry_right in (False, True):
+        return identity_profile(order)
+    index = {q: i for i, q in enumerate(order)}
+    n = len(order)
+    code = [-1] * (2 * n)
+    for entry_right in (0, 1):
         start_pos = len(w) - 1 if entry_right else 0
-        for q0 in order:
+        for i, q0 in enumerate(order):
             q, pos = q0, start_pos
             seen = set()
             while 0 <= pos < len(w):
@@ -184,13 +185,9 @@ def behaviors(t: TwoWayTransducer, w):
                     break
                 q, move = t.step[key]
                 pos += move
-            if q is None:
-                continue
-            if pos < 0:
-                (rl if entry_right else ll).append((q0, q))
-            else:
-                (rr if entry_right else lr).append((q0, q))
-    return BehaviorProfile.from_pairs(order, ll, lr, rl, rr)
+            if q is not None:
+                code[n * entry_right + i] = 2 * index[q] + (0 if pos < 0 else 1)
+    return BehaviorProfile(order, tuple(code))
 
 
 # ---------------------------------------------------------------------------

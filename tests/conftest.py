@@ -23,7 +23,7 @@ def budget(name: str, seconds: float):
     start = time.time()
     yield
     elapsed = time.time() - start
-    print(f"{name}: PASS ({elapsed:.2f}s, budget {seconds:.0f}s)")
+    print(f"{name}: PASS ({elapsed:.2f}s, budget {seconds:g}s)")
     assert elapsed < seconds, f"{name} exceeded its {seconds}s budget: {elapsed:.1f}s"
 
 
@@ -48,6 +48,14 @@ def doubler_monoid(doubler):
 @pytest.fixture(scope="session")
 def doubler_fot():
     return block_doubler_fot()
+
+
+@pytest.fixture(scope="session")
+def doubler_plain(doubler_fot):
+    """The plain machine that the transduction chain builds for the doubler."""
+    from twofst.translate import fot_to_twoway
+
+    return fot_to_twoway(doubler_fot, None, bound=3)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import pytest
 
 from twofst.machines import AB, copier, parity_twoway, reverser
 from twofst.monoid import (
+    BehaviorProfile,
     accepted_classes,
     accepts_from_class,
     class_language_dfa,
@@ -16,7 +17,7 @@ from twofst.monoid import (
 from twofst.twoway import behaviors, make_twoway, pumped_context_path, simulate
 from twofst.words import dfa_accepts
 
-from conftest import words_upto
+from conftest import budget, words_upto
 
 PATTERNS = {
     "a": r"a+",
@@ -97,6 +98,107 @@ def test_glue_loop_gives_undefined_entry():
     glued = glue(p, p)
     assert "s" not in dict(glued.ll) and "s" not in dict(glued.lr)
     assert simulate(t, "aa").reason == "loop"
+
+
+class _RefSeg:
+    """A factor known only through its behavior functions (the segment of
+    the reference glue)."""
+
+    def __init__(self, profile):
+        self.ll = dict(profile.ll)
+        self.lr = dict(profile.lr)
+        self.rl = dict(profile.rl)
+        self.rr = dict(profile.rr)
+
+    def run(self, side, q):
+        if side == "L":
+            if q in self.ll:
+                return ("exit_left", self.ll[q])
+            if q in self.lr:
+                return ("exit_right", self.lr[q])
+        else:
+            if q in self.rl:
+                return ("exit_left", self.rl[q])
+            if q in self.rr:
+                return ("exit_right", self.rr[q])
+        return ("dead",)
+
+
+def _ref_walk(segments, i, side, q):
+    """Walk a token over the segments; a repeated entry event is a loop."""
+    seen = set()
+    while True:
+        if (i, side, q) in seen:
+            return ("loop",)
+        seen.add((i, side, q))
+        outcome = segments[i].run(side, q)
+        if outcome[0] == "dead":
+            return outcome
+        q = outcome[1]
+        if outcome[0] == "exit_left":
+            if i == 0:
+                return outcome
+            i, side = i - 1, "R"
+        else:
+            if i == len(segments) - 1:
+                return outcome
+            i, side = i + 1, "L"
+
+
+def _ref_glue(p, q):
+    """Gluing by walking event tuples over two behavior-function segments."""
+    segs = [_RefSeg(p), _RefSeg(q)]
+    parts = {"ll": [], "lr": [], "rl": [], "rr": []}
+    loops = 0
+    for s in p.order:
+        for entry, start in (("l", 0), ("r", 1)):
+            outcome = _ref_walk(segs, start, entry.upper(), s)
+            if outcome[0] == "exit_left":
+                parts[entry + "l"].append((s, outcome[1]))
+            elif outcome[0] == "exit_right":
+                parts[entry + "r"].append((s, outcome[1]))
+            loops += outcome[0] == "loop"
+    return BehaviorProfile.from_pairs(p.order, **parts), loops
+
+
+def _random_machine(rng):
+    """2 to 5 states over {a, b}; each letter row is blocked, stays (0-move)
+    or moves either way, so runs block, bounce and loop."""
+    states = tuple(range(rng.randint(2, 5)))
+    rules = {(q, "^"): (q, "", 1) for q in states}
+    for q in states:
+        for a in "ab":
+            if rng.random() < 0.8:
+                rules[(q, a)] = (rng.choice(states), "", rng.choice((-1, 0, 1, 1, -1)))
+    return make_twoway(states, AB, AB, 0, {states[-1]}, rules)
+
+
+def test_glue_matches_walk_reference():
+    rng = random.Random(2024)
+    words = list(words_upto(3))
+    loops = 0
+    for _ in range(40):
+        t = _random_machine(rng)
+        profiles = {w: behaviors(t, w) for w in words}
+        seen = {}
+        for u in words:
+            for v in words:
+                got = glue(profiles[u], profiles[v])
+                want, looped = _ref_glue(profiles[u], profiles[v])
+                loops += looped
+                assert got == want, (t.step, u, v)
+                direct = behaviors(t, u + v)
+                assert got == direct and hash(got) == hash(direct), (t.step, u, v)
+                seen.setdefault((got.ll, got.lr, got.rl, got.rr), []).append(got)
+        # equal behavior functions give equal, equally hashed profiles, and
+        # distinct ones distinct profiles
+        groups = [group[0] for group in seen.values()]
+        for group in seen.values():
+            assert all(x == group[0] and hash(x) == hash(group[0]) for x in group)
+        assert all(x != y for i, x in enumerate(groups) for y in groups[i + 1 :])
+    assert loops > 0  # the machines do produce bouncing loops
+    with pytest.raises(ValueError):
+        glue(identity_profile((0, 1)), identity_profile((0, 1, 2)))
 
 
 def test_lr_star_formula_property(doubler):
@@ -246,3 +348,11 @@ def test_morphism_property_length_six(doubler_monoid):
     for u in words_upto(3):
         for v in words_upto(3):
             assert class_of(m, u + v) == m.product(class_of(m, u), class_of(m, v))
+
+
+def test_plain_doubler_monoid_budget(doubler_plain):
+    with budget("monoid of the plain doubler", 0.5):
+        m = transition_monoid(doubler_plain)
+        rep = is_aperiodic(m)
+    assert len(doubler_plain.states) == 339
+    assert (len(m.elements), rep.aperiodic, rep.index) == (90, True, 3)

@@ -14,11 +14,10 @@ from twofst.machines import (
     reverser,
 )
 from twofst.logic import MonoidRegistry
-from twofst.monoid import class_of, is_aperiodic, transition_monoid
+from twofst.monoid import class_of, is_aperiodic, reach_decision, transition_monoid
 from twofst.translate import (
     NotAperiodic,
     NotNormalized,
-    reach_decision,
     compose_right_seq_2w,
     compose_seq_2w,
     fo_la_to_sf_la,
@@ -347,8 +346,8 @@ def test_sf_la_paths_refine_jumps(doubler_fot):
         assert walked == list(r_la.path), w
 
 
-def test_full_pipeline_example(doubler_fot):
-    plain = fot_to_twoway(doubler_fot, None, bound=3)
+def test_full_pipeline_example(doubler_fot, doubler_plain):
+    plain = doubler_plain
     assert show_word(simulate(plain, "aababb").output) == "aabbab"
     for w in words_upto(4, min_len=1):
         got = simulate(plain, w)
