@@ -3,9 +3,10 @@
 A profile packs the four partial behavior functions of a factor into one
 integer code per state and entry side.  Profiles multiply by gluing: a run
 bounces between the two codes at the middle boundary, and a run that comes
-back to a boundary state it has crossed in loops.  A walk engine over
-segment chains with explicit endmarker cells powers class-based acceptance
-and the run-reachability decisions used by the logical translations.
+back to a boundary state it has crossed in loops.  The class-based run
+decisions (acceptance, boundary reachability and the visit states of the
+logical translations) walk the same codes along a chain framed by the
+profiles of the endmarker cells, which ``cell_run`` steps like any cell.
 """
 from __future__ import annotations
 
@@ -104,118 +105,6 @@ def identity_profile(order) -> BehaviorProfile:
     return BehaviorProfile(tuple(order), crossing)
 
 
-# ---------------------------------------------------------------------------
-# Segment chains and the boundary walk
-
-
-class ProfileSeg:
-    """A factor known only through its behavior profile."""
-
-    def __init__(self, profile: BehaviorProfile):
-        self.profile = profile
-
-    def run(self, side: str, q):
-        order, code = self.profile.order, self.profile.code
-        c = code[order.index(q) + (len(order) if side == "R" else 0)]
-        if c < 0:
-            return ("dead",)
-        return ("exit_right" if c & 1 else "exit_left", order[c >> 1])
-
-
-class MarkSeg:
-    """An explicit endmarker cell, stepped by the machine.
-
-    The right endmarker optionally terminates the walk when entered in a
-    final state, matching the stop-on-acceptance convention of runs.
-    """
-
-    def __init__(self, t: TwoWayTransducer, mark: str, stop_final: bool = False):
-        self.t = t
-        self.mark = mark
-        self.stop_final = stop_final
-
-    def run(self, side: str, q):
-        t, mark = self.t, self.mark
-        seen = set()
-        while True:
-            if self.stop_final and mark == RIGHT_MARK and q in t.finals:
-                return ("accept", q)
-            if q in seen:
-                return ("dead",)
-            seen.add(q)
-            if (q, mark) not in t.step:
-                return ("dead",)
-            q, move = t.step[(q, mark)]
-            if move == -1:
-                return ("exit_left", q)
-            if move == 1:
-                return ("exit_right", q)
-
-
-class CellSeg:
-    """A single letter cell, stepped by the machine to expose 0-move chains."""
-
-    def __init__(self, t: TwoWayTransducer, symbol):
-        self.t = t
-        self.symbol = symbol
-
-    def run_states(self, q):
-        """States visited while the head stays on this cell, plus the exit."""
-        t = self.t
-        seen = set()
-        visited = []
-        while True:
-            if q in seen:
-                return visited, ("dead",)
-            seen.add(q)
-            visited.append(q)
-            if (q, self.symbol) not in t.step:
-                return visited, ("dead",)
-            q, move = t.step[(q, self.symbol)]
-            if move == -1:
-                return visited, ("exit_left", q)
-            if move == 1:
-                return visited, ("exit_right", q)
-
-    def run(self, side: str, q):
-        _, outcome = self.run_states(q)
-        return outcome
-
-
-def chain_walk(segments, start_index: int, start_side: str, start_state):
-    """Walk a token over a chain of segments.
-
-    Yields the sequence of entry events ``(segment_index, side, state)`` in
-    order (the start counts as the first event) and returns the outcome:
-    ``("exit_left", q)`` left of the chain, ``("exit_right", q)`` right of
-    it, ``("accept", q)``, ``("dead",)`` or ``("loop",)``.
-    """
-    events = []
-    seen = set()
-    i, side, q = start_index, start_side, start_state
-    while True:
-        key = (i, side, q)
-        if key in seen:
-            return events, ("loop",)
-        seen.add(key)
-        events.append(key)
-        outcome = segments[i].run(side, q)
-        kind = outcome[0]
-        if kind == "dead":
-            return events, ("dead",)
-        if kind == "accept":
-            return events, outcome
-        q = outcome[1]
-        if kind == "exit_left":
-            if i == 0:
-                return events, ("exit_left", q)
-            i, side = i - 1, "R"
-        else:
-            if i == len(segments) - 1:
-                return events, ("exit_right", q)
-            i, side = i + 1, "L"
-
-
 def glue(p: BehaviorProfile, q: BehaviorProfile) -> BehaviorProfile:
     """Profile of any concatenation ``uv`` from the profiles of its parts.
 
@@ -267,7 +156,7 @@ class TransitionMonoid:
     machine: TwoWayTransducer
     elements: tuple  # BehaviorProfile, identity first, then BFS discovery order
     identity: BehaviorProfile
-    morphism: dict  # symbol (letters and endmarkers) -> profile
+    morphism: dict  # symbol -> profile; the endmarker entries frame the run walks
     representatives: dict  # profile -> shortest witness word
     by_id: dict  # element id -> profile
     _products: dict = field(default_factory=dict, repr=False)
@@ -304,7 +193,8 @@ def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
 
     Endmarker profiles are kept on the morphism but excluded from the
     generated element set; words containing endmarkers cannot occur as
-    factors of real inputs.
+    factors of real inputs.  Only the walks of the class-based run decisions
+    read them, as the first and last segments of their chains.
     """
     ident = identity_profile(t.states)
     letter_profiles = {a: behaviors(t, (a,)) for a in t.in_alphabet}
@@ -324,18 +214,13 @@ def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
 
 def _mark_profile(t: TwoWayTransducer, mark: str) -> BehaviorProfile:
     """Profile of an endmarker cell; a run on it does not depend on the side
-    it entered from, so both halves of the code are equal."""
-    seg = MarkSeg(t, mark)
+    it entered from, so both halves of the code are equal.  On ``$`` a stop
+    in a final state reads as an exit to the right."""
     index = {q: i for i, q in enumerate(t.states)}
     half = []
     for q in t.states:
-        outcome = seg.run("L", q)
-        if outcome[0] == "exit_left":
-            half.append(2 * index[outcome[1]])
-        elif outcome[0] == "exit_right":
-            half.append(2 * index[outcome[1]] + 1)
-        else:
-            half.append(-1)
+        _, r, move = cell_run(t, mark, q)
+        half.append(2 * index[r] + (move > 0) if move else -1)
     return BehaviorProfile(t.states, tuple(half) * 2)
 
 
@@ -377,16 +262,66 @@ def class_language_dfa(m: TransitionMonoid, e: BehaviorProfile) -> Dfa:
 # Class-based run decisions
 
 
+def cell_run(t: TwoWayTransducer, symbol, q):
+    """The run of ``t`` on one cell holding ``symbol``, entered in state ``q``.
+
+    Returns the states visited on the cell, in order, then the state in
+    which the run leaves and its move, -1 or +1, or ``None, 0`` when it
+    blocks or loops.  On ``$`` the run stops in the first final state it
+    reaches; the stop is reported as move +1, which no transition on ``$``
+    can make.
+    """
+    visited = {}  # insertion-ordered set
+    while q not in visited:
+        visited[q] = None
+        if symbol == RIGHT_MARK and q in t.finals:
+            return list(visited), q, 1
+        if (q, symbol) not in t.step:
+            break
+        q, move = t.step[(q, symbol)]
+        if move:
+            return list(visited), q, move
+    return list(visited), None, 0
+
+
+def marked_chain(m: TransitionMonoid, profiles) -> list:
+    """Codes of ``^``, of each profile in order, and of ``$``."""
+    return [m.morphism[LEFT_MARK].code, *(p.code for p in profiles), m.morphism[RIGHT_MARK].code]
+
+
+def walk_chain(chain, n: int, seg: int, side: int, i: int):
+    """A run bouncing along a chain of profile codes over ``n`` states.
+
+    The run enters segment ``seg`` from the left (``side`` 0) or the right
+    (1) in the state of index ``i``, and moves between neighbouring codes as
+    ``glue`` does between two.  Returns the entries ``(segment, side, state
+    index)`` in order, the start first, and whether the run left the chain
+    on the right; with ``$`` last, that is acceptance.  A repeated entry
+    ends the walk as a loop.
+    """
+    entries = {}  # insertion-ordered set
+    last = len(chain) - 1
+    while (seg, side, i) not in entries:
+        entries[(seg, side, i)] = None
+        c = chain[seg][n * side + i]
+        if c < 0:
+            break
+        i = c >> 1
+        if c & 1:
+            if seg == last:
+                return list(entries), True
+            seg, side = seg + 1, 0
+        else:
+            if seg == 0:
+                break
+            seg, side = seg - 1, 1
+    return list(entries), False
+
+
 def accepts_from_class(m: TransitionMonoid, e: BehaviorProfile) -> bool:
     """Whether words of class ``e`` are accepted, decided from profiles only."""
-    t = m.machine
-    segs = [
-        MarkSeg(t, LEFT_MARK),
-        ProfileSeg(e),
-        MarkSeg(t, RIGHT_MARK, stop_final=True),
-    ]
-    _, outcome = chain_walk(segs, 0, "L", t.initial)
-    return outcome[0] == "accept"
+    order = m.machine.states
+    return walk_chain(marked_chain(m, [e]), len(order), 0, 0, order.index(m.machine.initial))[1]
 
 
 def accepted_classes(m: TransitionMonoid) -> list:
@@ -410,29 +345,7 @@ def reach_decision(
     crossings of its left boundary are observed.  Arrivals at any time count,
     not only the first; the walk honors the stop-on-acceptance convention.
     """
-    pre, mid, suf = triple
-    t = m.machine
-    segs = [
-        MarkSeg(t, LEFT_MARK),
-        ProfileSeg(pre),
-        ProfileSeg(mid),
-        ProfileSeg(suf),
-        MarkSeg(t, RIGHT_MARK, stop_final=True),
-    ]
-    events, _ = chain_walk(segs, 2, "L" if not leftward else "R", q)
-    if leftward:
-        return any(i == 1 and side == "R" and s == q2 for (i, side, s) in events)
-    return any(i == 3 and side == "L" and s == q2 for (i, side, s) in events)
-
-
-class _RecordingCell(CellSeg):
-    """Cell segment that records every state of its internal 0-move chains."""
-
-    def __init__(self, t, symbol, log):
-        super().__init__(t, symbol)
-        self.log = log
-
-    def run(self, side, q):
-        visited, outcome = self.run_states(q)
-        self.log.extend(visited)
-        return outcome
+    order = m.machine.states
+    entries, _ = walk_chain(marked_chain(m, triple), len(order), 2, int(leftward), order.index(q))
+    watched = (1, 1) if leftward else (3, 0)  # entering pre from the right, suf from the left
+    return any((seg, side) == watched and order[i] == q2 for seg, side, i in entries)

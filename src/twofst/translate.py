@@ -40,14 +40,13 @@ from .twoway import (
     trim,
 )
 from .monoid import (
-    MarkSeg,
-    ProfileSeg,
     TransitionMonoid,
-    _RecordingCell,
     accepted_classes,
-    chain_walk,
+    cell_run,
     is_aperiodic,
+    marked_chain,
     transition_monoid,
+    walk_chain,
 )
 from .logic import (
     FALSE,
@@ -294,34 +293,22 @@ def compose_right_seq_2w(
 def _visit_states(m, before_profiles, cell_symbol, after_profiles, start):
     """States in which the designated cell is visited by the chosen run.
 
-    The word is ``before... cell after...`` framed by endmarkers; ``start``
-    is ``("initial",)`` for the full run from the left endmarker,
-    ``("before", i, q)`` / ``("after", i, q)`` to start at the first
-    position of that (nonempty) segment, or ``("cell", q)``.  The walk obeys
-    the stop-on-acceptance convention; visits during 0-move chains count.
+    The word is ``before... cell after...``; framed by endmarkers, it is a
+    chain whose segment 0 is ``^`` and whose segment ``1 + len(before)`` is
+    the cell.  ``start = (segment, q)`` starts the run in state ``q`` at the
+    first position of that (nonempty) segment; ``(0, initial)`` is the full
+    run.  The walk obeys the stop-on-acceptance convention; visits during
+    0-move chains count.
     """
     t = m.machine
-    log = []
-    segs = (
-        [MarkSeg(t, LEFT_MARK)]
-        + [ProfileSeg(p) for p in before_profiles]
-        + [_RecordingCell(t, cell_symbol, log)]
-        + [ProfileSeg(p) for p in after_profiles]
-        + [MarkSeg(t, RIGHT_MARK, stop_final=True)]
+    order = t.states
+    cell = 1 + len(before_profiles)
+    chain = marked_chain(m, [*before_profiles, m.morphism[cell_symbol], *after_profiles])
+    seg, q = start
+    entries, _ = walk_chain(chain, len(order), seg, 0, order.index(q))
+    return frozenset(
+        s for k, _, i in entries if k == cell for s in cell_run(t, cell_symbol, order[i])[0]
     )
-    cell_index = 1 + len(before_profiles)
-    kind = start[0]
-    if kind == "initial":
-        chain_walk(segs, 0, "L", t.initial)
-    elif kind == "before":
-        chain_walk(segs, 1 + start[1], "L", start[2])
-    elif kind == "cell":
-        chain_walk(segs, cell_index, "L", start[1])
-    elif kind == "after":
-        chain_walk(segs, cell_index + 1 + start[1], "L", start[2])
-    else:
-        raise ValueError(f"unknown start {start!r}")
-    return frozenset(log)
 
 
 def _succ(u: str, v: str) -> Formula:
@@ -403,7 +390,7 @@ def twoway_to_fot(
             for a in sources:
                 for e1 in elements:
                     for e3 in elements:
-                        if q in b.vis([e1], a, [e3], ("initial",)):
+                        if q in b.vis([e1], a, [e3], (0, t.initial)):
                             disjuncts.append(
                                 conj(
                                     [Letter(a, "x"), b.pre(e1, "x"), b.suf(e3, "x")]
@@ -469,7 +456,7 @@ def _order_formula(b: _FotBuilder, q, q2) -> Formula:
     for e1 in elements:
         for a in letters:
             for e3 in elements:
-                if q2 in b.vis([e1], a, [e3], ("cell", q)):
+                if q2 in b.vis([e1], a, [e3], (2, q)):
                     eq_disjuncts.append(
                         conj([Letter(a, "x"), b.pre(e1, "x"), b.suf(e3, "x")])
                     )
@@ -481,7 +468,7 @@ def _order_formula(b: _FotBuilder, q, q2) -> Formula:
         for e2 in elements:
             for a in letters:
                 for e3 in elements:
-                    if q2 in b.vis([e1, e2], a, [e3], ("before", 1, q)):
+                    if q2 in b.vis([e1, e2], a, [e3], (2, q)):
                         fwd.append(
                             conj(
                                 [
@@ -506,7 +493,7 @@ def _order_formula(b: _FotBuilder, q, q2) -> Formula:
             for bx in letters:
                 for e5 in elements:
                     e_right = m.product(m.morphism[bx], e5)
-                    if q2 in b.vis([e1], a, [m.identity, e_right], ("after", 1, q)):
+                    if q2 in b.vis([e1], a, [m.identity, e_right], (4, q)):
                         bwd_empty.append(
                             conj(
                                 [
@@ -518,7 +505,7 @@ def _order_formula(b: _FotBuilder, q, q2) -> Formula:
                             )
                         )
                     for e2 in elements:
-                        if q2 in b.vis([e1], a, [e2, e_right], ("after", 1, q)):
+                        if q2 in b.vis([e1], a, [e2, e_right], (4, q)):
                             bwd_gap.append(
                                 conj(
                                     [

@@ -323,12 +323,14 @@ def mirror(t: TwoWayTransducer) -> TwoWayTransducer:
 
 def trim(t: TwoWayTransducer) -> TwoWayTransducer:
     """Restrict to states syntactically reachable from the initial state."""
+    targets = {}
+    for (p, _), (r, _) in t.step.items():
+        targets.setdefault(p, []).append(r)
     reach = {t.initial}
     frontier = [t.initial]
     while frontier:
-        q = frontier.pop()
-        for (p, a), (r, move) in t.step.items():
-            if p == q and r not in reach:
+        for r in targets.get(frontier.pop(), ()):
+            if r not in reach:
                 reach.add(r)
                 frontier.append(r)
     if len(reach) == len(t.states):

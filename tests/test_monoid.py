@@ -12,12 +12,14 @@ from twofst.monoid import (
     glue,
     identity_profile,
     is_aperiodic,
+    reach_decision,
     transition_monoid,
 )
+from twofst.translate import _visit_states
 from twofst.twoway import behaviors, make_twoway, pumped_context_path, simulate
 from twofst.words import dfa_accepts
 
-from conftest import budget, words_upto
+from conftest import budget, crossing_oracle, words_upto
 
 PATTERNS = {
     "a": r"a+",
@@ -161,16 +163,24 @@ def _ref_glue(p, q):
     return BehaviorProfile.from_pairs(p.order, **parts), loops
 
 
-def _random_machine(rng):
+def _random_machine(rng, marked=False):
     """2 to 5 states over {a, b}; each letter row is blocked, stays (0-move)
-    or moves either way, so runs block, bounce and loop."""
+    or moves either way, so runs block, bounce and loop.  ``marked`` adds
+    ``$`` rows that stay or move left and a second final state, so runs also
+    accept after a 0-move on ``$``, bounce off it and loop on it."""
     states = tuple(range(rng.randint(2, 5)))
     rules = {(q, "^"): (q, "", 1) for q in states}
     for q in states:
         for a in "ab":
             if rng.random() < 0.8:
                 rules[(q, a)] = (rng.choice(states), "", rng.choice((-1, 0, 1, 1, -1)))
-    return make_twoway(states, AB, AB, 0, {states[-1]}, rules)
+    finals = {states[-1]}
+    if marked:
+        finals.add(rng.choice(states[:-1]))
+        for q in states:
+            if rng.random() < 0.8:
+                rules[(q, "$")] = (rng.choice(states), "", rng.choice((0, -1)))
+    return make_twoway(states, AB, AB, 0, finals, rules)
 
 
 def test_glue_matches_walk_reference():
@@ -199,6 +209,38 @@ def test_glue_matches_walk_reference():
     assert loops > 0  # the machines do produce bouncing loops
     with pytest.raises(ValueError):
         glue(identity_profile((0, 1)), identity_profile((0, 1, 2)))
+
+
+def test_run_decisions_match_simulation():
+    # acceptance, boundary reachability and visit states, all walked over
+    # profile codes, against direct runs of generated machines
+    rng = random.Random(5)
+    words = list(words_upto(4))
+    seen = {"accept after a 0-move on $": 0, "bounce off $": 0, "loop": 0}
+    for _ in range(40):
+        t = _random_machine(rng, marked=True)
+        m = transition_monoid(t)
+        for w in words:
+            res = simulate(t, w)
+            assert accepts_from_class(m, class_of(m, w)) == res.defined, (t.step, w)
+            configs, end = res.run.configs, len(w) + 1
+            seen["accept after a 0-move on $"] += res.defined and configs[-2][1] == end
+            seen["bounce off $"] += any(
+                p == end and p2 == end - 1 for (_, p), (_, p2) in zip(configs, configs[1:])
+            )
+            seen["loop"] += res.reason == "loop"
+            for i in range(1, len(w) + 1):
+                for j in range(i, len(w) + 1):
+                    triple = (class_of(m, w[: i - 1]), class_of(m, w[i - 1 : j]), class_of(m, w[j:]))
+                    for q in t.states:
+                        for leftward in (False, True):
+                            got = {q2 for q2 in t.states if reach_decision(m, triple, q, q2, leftward)}
+                            want = crossing_oracle(t, w, i, j, q, leftward)
+                            assert got == want, (t.step, w, i, j, q, leftward)
+                u, a, v = w[: i - 1], w[i - 1], w[i:]
+                got = _visit_states(m, [class_of(m, u)], a, [class_of(m, v)], (0, t.initial))
+                assert got == {q for q, p in configs if p == i}, (t.step, w, i)
+    assert all(seen.values()), seen
 
 
 def test_lr_star_formula_property(doubler):

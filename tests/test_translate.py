@@ -27,10 +27,10 @@ from twofst.translate import (
 )
 from twofst.lookaround import simulate_fo_la, simulate_sf_la, check_fo_determinism
 from twofst.fot import fot_eval
-from twofst.twoway import context_path, simulate, tape_symbol
+from twofst.twoway import context_path, simulate
 from twofst.words import dfa_is_counter_free, make_seq, seq_run, show_word
 
-from conftest import budget, words_upto
+from conftest import budget, crossing_oracle, words_upto
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -159,33 +159,6 @@ def test_compose_right_aperiodic(doubler):
 
 # ---------------------------------------------------------------------------
 # reach decisions
-
-
-def crossing_oracle(t, u, i, j, q, leftward=False):
-    """States in which the run from (q, start-of-mid) crosses the watched
-    boundary of mid = u[i..j] (1-based, inclusive), by direct simulation."""
-    n = len(u)
-    pos = i if not leftward else j
-    crossings = set()
-    seen = set()
-    state = q
-    while True:
-        if pos == n + 1 and state in t.finals:
-            break
-        if (state, pos) in seen:
-            break
-        seen.add((state, pos))
-        sym = tape_symbol(tuple(u), pos)
-        if (state, sym) not in t.step:
-            break
-        state, move = t.step[(state, sym)]
-        prev = pos
-        pos += move
-        if not leftward and prev == j and pos == j + 1:
-            crossings.add(state)
-        if leftward and prev == i and pos == i - 1:
-            crossings.add(state)
-    return crossings
 
 
 @pytest.mark.parametrize("leftward", [False, True])

@@ -18,6 +18,7 @@ from twofst.twoway import (
     normalize,
     simulate,
     trace_table,
+    trim,
 )
 from twofst.words import as_word, show_word
 
@@ -151,6 +152,29 @@ def test_trace_table_layout():
     lines = table.splitlines()
     assert lines[0].split() == ["^", "a", "a", "b", "$"]
     assert lines[1].split() == ["1", "1", "1", "1", "1"]
+
+
+def test_trim_keeps_reachable_states_in_order(doubler):
+    # "x" and "y" are unreachable; "y" is reached only from "x", and "w"
+    # only through "t", so the search has to follow more than one step
+    rules = {
+        ("s", "^"): ("s", "", 1),
+        ("s", "a"): ("t", "a", 1),
+        ("t", "b"): ("w", "b", -1),
+        ("w", "a"): ("s", "", 1),
+        ("w", "$"): ("w", "", 0),
+        ("x", "a"): ("y", "", 1),
+        ("y", "b"): ("s", "", 1),
+    }
+    t = make_twoway(("x", "w", "s", "y", "t"), AB, AB, "s", {"t", "x", "y"}, rules)
+    trimmed = trim(t)
+    assert trimmed.states == ("w", "s", "t")
+    assert trimmed.finals == {"t"}
+    assert trimmed.initial == "s"
+    assert set(trimmed.step) == {k for k in rules if k[0] in ("s", "t", "w")}
+    for w in words_upto(4):
+        assert simulate(trimmed, w).output == simulate(t, w).output, w
+    assert trim(doubler) is doubler
 
 
 def test_merge_equivalent_preserves_runs(doubler):
