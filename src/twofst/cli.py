@@ -28,7 +28,15 @@ from .words import (
     show_symbol,
     show_word,
 )
-from .twoway import TwoWayTransducer, make_twoway, simulate, trace_table, behaviors
+from .twoway import (
+    TwoWayTransducer,
+    behaviors,
+    make_twoway,
+    mirror,
+    normalize,
+    simulate,
+    trace_table,
+)
 from .monoid import (
     TransitionMonoid,
     is_aperiodic,
@@ -519,12 +527,13 @@ def serialize_fot(T: FoTransduction, registry: Optional[MonoidRegistry] = None) 
     ]
     if registry is not None:
         out.extend(_monoid_blocks(registry))
-    out.append(f"copies: {' '.join(str(c) for c in T.copies)}")
+    names = _state_names(T.copies)
+    out.append(f"copies: {' '.join(names[c] for c in T.copies)}")
     out.append(f"dom: {show_formula(T.dom)}")
     for (c, b), f in T.pos.items():
-        out.append(f"pos {c} {show_symbol(b)}: {show_formula(f)}")
+        out.append(f"pos {names[c]} {show_symbol(b)}: {show_formula(f)}")
     for (c, c2), f in T.order.items():
-        out.append(f"le {c} {c2}: {show_formula(f)}")
+        out.append(f"le {names[c]} {names[c2]}: {show_formula(f)}")
     return "\n".join(out) + "\n"
 
 
@@ -728,10 +737,6 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _load(path: str) -> Artifact:
-    return parse(path)
-
-
 def _write_out(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -741,7 +746,7 @@ def _write_out(args, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     fn = artifact_function(art)
     if fn is None:
         raise ArtifactSemanticError("artifact does not denote a word function")
@@ -762,7 +767,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_behaviors(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "2wt":
         raise ArtifactSemanticError("behaviors needs a two-way transducer")
     t = art.value
@@ -785,7 +790,7 @@ def cmd_behaviors(args) -> int:
 
 
 def cmd_monoid(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "2wt":
         raise ArtifactSemanticError("monoid needs a two-way transducer")
     m = transition_monoid(art.value)
@@ -799,7 +804,7 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_aperiodic(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "2wt":
         raise ArtifactSemanticError("aperiodic needs a two-way transducer")
     m = transition_monoid(art.value)
@@ -821,12 +826,10 @@ def cmd_aperiodic(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    seq_art = _load(args.seq)
-    two_art = _load(args.twoway)
+    seq_art = parse(args.seq)
+    two_art = parse(args.twoway)
     if seq_art.kind != "seq" or two_art.kind != "2wt":
         raise ArtifactSemanticError("compose needs a seq file and a 2wt file")
-    from .twoway import normalize
-
     b = normalize(two_art.value)
     if args.right:
         c = translate.compose_right_seq_2w(seq_art.value, b)
@@ -837,7 +840,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_to_fot(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "2wt":
         raise ArtifactSemanticError("to-fot needs a two-way transducer")
     registry = MonoidRegistry()
@@ -847,7 +850,7 @@ def cmd_to_fot(args) -> int:
 
 
 def cmd_from_fot(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "fot":
         raise ArtifactSemanticError("from-fot needs a transduction file")
     la = translate.fot_to_fo_lookaround(art.value)
@@ -863,35 +866,31 @@ def cmd_from_fot(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "2wt":
         raise ArtifactSemanticError("normalize needs a two-way transducer")
-    from .twoway import normalize
-
     _write_out(args, serialize_machine(normalize(art.value)))
     return 0
 
 
 def cmd_mirror(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "2wt":
         raise ArtifactSemanticError("mirror needs a two-way transducer")
-    from .twoway import mirror
-
     _write_out(args, serialize_machine(mirror(art.value)))
     return 0
 
 
 def cmd_check_equiv(args) -> int:
-    x = _load(args.file1)
-    y = _load(args.file2)
+    x = parse(args.file1)
+    y = parse(args.file2)
     report = check_equiv(x, y, args.max_len, args.min_len)
     _emit(args, report.json(), report.show())
     return 0 if report.counterexample is None else 1
 
 
 def cmd_eval_formula(args) -> int:
-    art = _load(args.file)
+    art = parse(args.file)
     if art.kind != "formula":
         raise ArtifactSemanticError("eval-formula needs a formula file")
     assignment = {}

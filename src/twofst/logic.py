@@ -7,7 +7,10 @@ test the endmarkers.  Class atoms always measure the real letters only.
 
 Class atoms are backed by a registry of transition monoids that were
 certified aperiodic at registration; this is the star-freeness certificate
-that replaces explicit class-formula synthesis.
+that replaces explicit class-formula synthesis.  Run atoms ask the machine of
+such a monoid where its run goes.  Their truth depends only on the letters at
+their variables and on the classes of the factors between them, so they are
+finite Boolean combinations of class atoms and stay first-order.
 """
 from __future__ import annotations
 
@@ -28,9 +31,16 @@ from .words import (
     dfa_union,
     dfa_complement,
     dfa_universal,
+    explore_dfa,
     marked_alphabet,
 )
-from .monoid import BehaviorProfile, TransitionMonoid, is_aperiodic
+from .monoid import (
+    BehaviorProfile,
+    TransitionMonoid,
+    accepts_from_class,
+    is_aperiodic,
+    run_visits,
+)
 
 
 class UnboundVariable(ValueError):
@@ -102,6 +112,27 @@ class SuffixClass(Formula):
     monoid: str
     element: str
     var: str
+
+
+@dataclass(frozen=True)
+class RunAtom(Formula):
+    """A run decision of the machine of a registered monoid.
+
+    ``accept`` (no states, no variables): the word is accepted.  ``visit``
+    ``(i,)`` at ``(x,)``: the run visits state ``i`` on the cell at ``x``.
+    ``reach`` ``(i, j)`` at ``(x, y)``: the run continued from state ``i`` at
+    ``x`` visits state ``j`` at ``y``, whatever the order of ``x`` and ``y``.
+    States are indices into the machine's state tuple.  The atom is false
+    when a variable sits on an endmarker.
+    """
+
+    monoid: str
+    kind: str
+    states: tuple
+    vars: tuple
+
+
+_RUN_ARITY = {"accept": 0, "visit": 1, "reach": 2}  # states, and as many variables
 
 
 @dataclass(frozen=True)
@@ -221,6 +252,8 @@ def free_vars(phi: Formula) -> frozenset:
         return free_vars(phi.arg)
     if isinstance(phi, (Exists, Forall)):
         return free_vars(phi.body) - {phi.var}
+    if isinstance(phi, RunAtom):
+        return frozenset(phi.vars)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -261,6 +294,8 @@ def subst_var(phi: Formula, old: str, new: str) -> Formula:
         return PrefixClass(phi.monoid, phi.element, new if phi.var == old else phi.var)
     if isinstance(phi, SuffixClass):
         return SuffixClass(phi.monoid, phi.element, new if phi.var == old else phi.var)
+    if isinstance(phi, RunAtom):
+        return RunAtom(phi.monoid, phi.kind, phi.states, tuple(new if v == old else v for v in phi.vars))
     if isinstance(phi, And):
         return And(tuple(subst_var(a, old, new) for a in phi.args))
     if isinstance(phi, Or):
@@ -326,6 +361,32 @@ class MonoidRegistry:
         return tuple(self._monoids)
 
 
+def _run_monoid(registry: Optional[MonoidRegistry], phi: RunAtom) -> TransitionMonoid:
+    """The monoid of a run atom, whose machine must have the atom's states."""
+    if registry is None:
+        raise RegistryError("run atom used without a monoid registry")
+    m = registry.monoid(phi.monoid)
+    if not all(0 <= i < len(m.machine.states) for i in phi.states):
+        raise RegistryError(f"monoid {phi.monoid!r} has no states numbered {phi.states}")
+    return m
+
+
+def _run_truth(m: TransitionMonoid, phi: RunAtom, factors: tuple, segments: tuple) -> bool:
+    """Truth of a run atom on a word cut at its variables.
+
+    ``factors`` are the classes and cut letters of the word, left to right,
+    as :func:`monoid.run_visits` reads them; the atom's variables sit on the
+    cut letters numbered ``segments`` in its chain.
+    """
+    if phi.kind == "accept":
+        return accepts_from_class(m, factors[0])
+    if phi.kind == "visit":
+        t = m.machine
+        start = (0, t.states.index(t.initial))
+        return phi.states[0] in run_visits(m, factors, start, segments[0])
+    return phi.states[1] in run_visits(m, factors, (segments[0], phi.states[0]), segments[1])
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -364,6 +425,20 @@ class EvalSession:
         if self.registry is None:
             raise RegistryError("class atom used without a monoid registry")
         return self.registry.monoid(name)
+
+    def _run(self, phi: RunAtom, sigma: dict) -> bool:
+        """A run atom, from the classes around its cuts and the cut letters."""
+        m = _run_monoid(self.registry, phi)
+        name = phi.monoid
+        cuts = sorted({sigma[v] for v in phi.vars})
+        if any(self.symbol_at(c) in (LEFT_MARK, RIGHT_MARK) for c in cuts):
+            return False
+        factors = [self.prefix_class(name, cuts[0] if cuts else self.n + 1)]
+        for c, d in zip(cuts, cuts[1:] + [None]):
+            gap = self.suffix_class(name, c) if d is None else self.factor_class(name, c + 1, d - 1)
+            factors += [self.symbol_at(c), gap]
+        segments = tuple(2 + 2 * cuts.index(sigma[v]) for v in phi.vars)
+        return _run_truth(m, phi, tuple(factors), segments)
 
     def prefix_class(self, name, i: int) -> BehaviorProfile:
         """Class of the real letters strictly before position ``i``."""
@@ -455,6 +530,8 @@ class EvalSession:
                 if self._eval(phi.body, sigma2) == want:
                     return want
             return not want
+        if isinstance(phi, RunAtom):
+            return self._run(phi, sigma)
         raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -512,6 +589,8 @@ class _Compiler:
             return self._suffix_class(phi, scope, alpha)
         if isinstance(phi, FactorClass):
             return self._factor_class(phi, scope, alpha)
+        if isinstance(phi, RunAtom):
+            return self._run_atom(phi, scope, alpha)
         if isinstance(phi, And):
             out = self.compile(phi.args[0], scope)
             for a in phi.args[1:]:
@@ -665,6 +744,39 @@ class _Compiler:
         )
         return dfa_minimize(d)
 
+    def _run_atom(self, phi: RunAtom, scope, alpha) -> Dfa:
+        """Reads the cut factorization of the tape: a state holds the classes
+        and cut letters so far, the class being read last, and the segment
+        of each placed variable (0 before it is placed).  Final states are
+        decided by :func:`_run_truth`, as in evaluation."""
+        m = _run_monoid(self.registry, phi)
+        bits = [self._bit(scope, v) for v in phi.vars]
+        morphism, product = m.morphism, m.product
+
+        def step(state, key):
+            if state is None:
+                return None
+            base, marks = key
+            factors, segments = state
+            if not any(marks):
+                if base in (LEFT_MARK, RIGHT_MARK):
+                    return state
+                return factors[:-1] + (product(factors[-1], morphism[base]),), segments
+            if base in (LEFT_MARK, RIGHT_MARK) or any(s and mk for s, mk in zip(segments, marks)):
+                return None  # a cut on an endmarker, or a variable marked twice
+            cell = len(factors) + 1
+            return factors + (base, m.identity), tuple(
+                cell if mk else s for s, mk in zip(segments, marks)
+            )
+
+        return explore_dfa(
+            alpha,
+            lambda s: (s[0], tuple(s[1][b] for b in bits)),
+            ((m.identity,), (0,) * len(bits)),
+            step,
+            lambda state: state is not None and all(state[1]) and _run_truth(m, phi, *state),
+        )
+
     def shape_dfa(self, nvars: int) -> Dfa:
         """Marked tapes: a single ^ first, a single $ last, letters between."""
         # 0: expect ^, 1: inside, 2: after $, 3: reject
@@ -762,6 +874,8 @@ def show_formula(phi: Formula) -> str:
         return f"(pclass {phi.monoid} {phi.element} {phi.var})"
     if isinstance(phi, SuffixClass):
         return f"(sclass {phi.monoid} {phi.element} {phi.var})"
+    if isinstance(phi, RunAtom):
+        return "(" + " ".join([phi.kind, phi.monoid, *map(str, phi.states), *phi.vars]) + ")"
     if isinstance(phi, And):
         return "(and " + " ".join(show_formula(a) for a in phi.args) + ")"
     if isinstance(phi, Or):
@@ -838,6 +952,13 @@ def _tree_to_formula(tree) -> Formula:
     if head == "sclass":
         need(3)
         return SuffixClass(args[0], args[1], args[2])
+    if head in _RUN_ARITY:
+        k = _RUN_ARITY[head]
+        need(1 + 2 * k)
+        states = args[1 : 1 + k]
+        if not all(isinstance(a, str) for a in args) or not all(a.isdecimal() for a in states):
+            raise FormulaSyntaxError(f"{head} takes a monoid, state indices and variables")
+        return RunAtom(args[0], head, tuple(map(int, states)), tuple(args[1 + k :]))
     if head == "and":
         return conj([_tree_to_formula(a) for a in args])
     if head == "or":

@@ -100,7 +100,7 @@ class LaResult:
         return self.output is not None
 
 
-def sf_test_holds(t: SfLookAroundTransducer, test: SfTest, w: Word, pos: int) -> bool:
+def sf_test_holds(test: SfTest, w: Word, pos: int) -> bool:
     """Letter under the head matches; strict prefix and suffix pass the DFAs."""
     if tape_symbol(w, pos) != test.letter:
         return False
@@ -122,7 +122,7 @@ def simulate_sf_la(t: SfLookAroundTransducer, w) -> LaResult:
         enabled = [
             tr
             for tr in t.transitions
-            if tr.src == q and sf_test_holds(t, tr.test, w, pos)
+            if tr.src == q and sf_test_holds(tr.test, w, pos)
         ]
         if len(enabled) > 1:
             raise DeterminismViolation(
@@ -150,7 +150,7 @@ def check_sf_determinism(t: SfLookAroundTransducer, max_len: int = 6) -> bool:
                 hits = [
                     tr
                     for tr in t.transitions
-                    if tr.src == q and sf_test_holds(t, tr.test, w, pos)
+                    if tr.src == q and sf_test_holds(tr.test, w, pos)
                 ]
                 if len(hits) > 1:
                     return False

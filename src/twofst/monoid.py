@@ -5,7 +5,7 @@ integer code per state and entry side.  Profiles multiply by gluing: a run
 bounces between the two codes at the middle boundary, and a run that comes
 back to a boundary state it has crossed in loops.  The class-based run
 decisions (acceptance, boundary reachability and the visit states of the
-logical translations) walk the same codes along a chain framed by the
+run atoms of the logic) walk the same codes along a chain framed by the
 profiles of the endmarker cells, which ``cell_run`` steps like any cell.
 """
 from __future__ import annotations
@@ -160,6 +160,7 @@ class TransitionMonoid:
     representatives: dict  # profile -> shortest witness word
     by_id: dict  # element id -> profile
     _products: dict = field(default_factory=dict, repr=False)
+    _visits: dict = field(default_factory=dict, repr=False)  # run_visits answers
 
     def product(self, x: BehaviorProfile, y: BehaviorProfile) -> BehaviorProfile:
         key = (x, y)
@@ -326,6 +327,33 @@ def accepts_from_class(m: TransitionMonoid, e: BehaviorProfile) -> bool:
 
 def accepted_classes(m: TransitionMonoid) -> list:
     return [e for e in m.elements if accepts_from_class(m, e)]
+
+
+def run_visits(m: TransitionMonoid, factors: tuple, start: tuple, cell: int) -> frozenset:
+    """Indices of the states in which a run over ``^ u $`` visits one cell.
+
+    ``factors`` cuts ``u`` into classes (profiles) and cut letters, left to
+    right; with the endmarkers around them they are the segments of a chain,
+    ``^`` being segment 0.  ``start = (segment, state index)`` starts the
+    run there, entering from the left; segment 0 and the initial state give
+    the full run.
+    ``cell`` is a cut letter or an endmarker.  The walk obeys the
+    stop-on-acceptance convention, and visits during 0-move chains count.
+    Answers are memoized on the monoid, as products are.
+    """
+    key = (factors, start, cell)
+    got = m._visits.get(key)
+    if got is None:
+        t = m.machine
+        order = t.states
+        segments = (LEFT_MARK, *factors, RIGHT_MARK)
+        chain = [s.code if isinstance(s, BehaviorProfile) else m.morphism[s].code for s in segments]
+        entries, _ = walk_chain(chain, len(order), start[0], 0, start[1])
+        index = {q: i for i, q in enumerate(order)}
+        got = m._visits[key] = frozenset(
+            index[q] for k, _, i in entries if k == cell for q in cell_run(t, segments[cell], order[i])[0]
+        )
+    return got
 
 
 def reach_decision(

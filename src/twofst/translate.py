@@ -2,8 +2,8 @@
 
 * composition of a sequential transducer with a two-way transducer (and the
   right-sequential variant), preserving aperiodicity;
-* aperiodic two-way transducer -> FO transduction, with order formulas built
-  from class-triple run decisions;
+* aperiodic two-way transducer -> FO transduction, whose formulas are run
+  atoms decided by walking the monoid classes around their positions;
 * FO transduction -> FO-look-around machine (successor of the output order);
 * FO look-around -> star-free look-around (jumps become stepwise walks);
 * star-free look-around -> plain two-way transducer (tests become alphabet
@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .words import (
@@ -28,6 +27,7 @@ from .words import (
     dfa_minimize,
     dfa_table,
     dfa_universal,
+    explore_dfa,
     make_seq,
 )
 from .twoway import (
@@ -39,35 +39,21 @@ from .twoway import (
     normalize,
     trim,
 )
-from .monoid import (
-    TransitionMonoid,
-    accepted_classes,
-    cell_run,
-    is_aperiodic,
-    marked_chain,
-    transition_monoid,
-    walk_chain,
-)
+from .monoid import is_aperiodic, run_visits, transition_monoid
 from .logic import (
     FALSE,
-    Exists,
-    FactorClass,
     Forall,
     Formula,
-    Le,
     Letter,
     MonoidRegistry,
-    PrefixClass,
-    SuffixClass,
+    RunAtom,
     compile_to_dfa,
     conj,
     disj,
     implies,
-    linear_graph_sentence,
     neg,
     subst_var,
     var_eq,
-    var_lt,
 )
 from .fot import FoTransduction
 from .lookaround import (
@@ -89,7 +75,7 @@ class NotNormalized(ValueError):
 
 
 class UnsupportedProduction(ValueError):
-    """Endmarker transitions of the translated machine must produce nothing."""
+    """Runs of the translated machine must produce nothing on the endmarkers."""
 
 
 class TooManyTests(RuntimeError):
@@ -290,68 +276,6 @@ def compose_right_seq_2w(
 # Aperiodic two-way transducer -> FO transduction
 
 
-def _visit_states(m, before_profiles, cell_symbol, after_profiles, start):
-    """States in which the designated cell is visited by the chosen run.
-
-    The word is ``before... cell after...``; framed by endmarkers, it is a
-    chain whose segment 0 is ``^`` and whose segment ``1 + len(before)`` is
-    the cell.  ``start = (segment, q)`` starts the run in state ``q`` at the
-    first position of that (nonempty) segment; ``(0, initial)`` is the full
-    run.  The walk obeys the stop-on-acceptance convention; visits during
-    0-move chains count.
-    """
-    t = m.machine
-    order = t.states
-    cell = 1 + len(before_profiles)
-    chain = marked_chain(m, [*before_profiles, m.morphism[cell_symbol], *after_profiles])
-    seg, q = start
-    entries, _ = walk_chain(chain, len(order), seg, 0, order.index(q))
-    return frozenset(
-        s for k, _, i in entries if k == cell for s in cell_run(t, cell_symbol, order[i])[0]
-    )
-
-
-def _succ(u: str, v: str) -> Formula:
-    """v is the successor position of u."""
-    w = f"{u}{v}w"
-    return conj(
-        [var_lt(u, v), neg(Exists(w, conj([var_lt(u, w), var_lt(w, v)])))]
-    )
-
-
-@dataclass
-class _FotBuilder:
-    t: TwoWayTransducer
-    m: TransitionMonoid
-    name: str
-
-    def __post_init__(self):
-        self._visits: dict = {}
-
-    def pre(self, e, var):
-        return PrefixClass(self.name, self.m.element_id(e), var)
-
-    def suf(self, e, var):
-        return SuffixClass(self.name, self.m.element_id(e), var)
-
-    def fact(self, e, v1, v2):
-        return FactorClass(self.name, self.m.element_id(e), v1, v2)
-
-    def elements(self):
-        return self.m.elements
-
-    def letters(self):
-        return tuple(self.t.in_alphabet)
-
-    def vis(self, before, cell, after, start) -> frozenset:
-        key = (tuple(before), cell, tuple(after), start)
-        got = self._visits.get(key)
-        if got is None:
-            got = _visit_states(self.m, before, cell, after, start)
-            self._visits[key] = got
-        return got
-
-
 def twoway_to_fot(
     t: TwoWayTransducer,
     registry: MonoidRegistry,
@@ -362,184 +286,48 @@ def twoway_to_fot(
     Copies are the (normalized) states; a node ``(q, i)`` exists when the
     accepting run visits ``(q, i)`` and produces a letter there; the order
     formula decides whether the run continued from one visited configuration
-    reaches another.  All decisions are disjunctions over class atoms of the
-    three (plus the split-off target cell) factors around the positions.
+    reaches another.  Each decision is one run atom over the registered
+    monoid, so every formula is a single atom or an atom and a letter test.
     """
     t = normalize(t)
-    for (q, sym), out in t.out.items():
-        if sym in (LEFT_MARK, RIGHT_MARK) and out:
-            raise UnsupportedProduction(
-                "endmarker transitions must not produce output"
-            )
     m = transition_monoid(t)
-    report = is_aperiodic(m)
-    if not report.aperiodic:
+    if not is_aperiodic(m).aperiodic:
         raise NotAperiodic("transition monoid is not aperiodic")
+    # nodes sit on letters, so no run may produce output on an endmarker;
+    # rows that no run fires may, such as the endmarker rows of the emission
+    # states that normalize adds
+    index = {q: i for i, q in enumerate(t.states)}
+    start = (0, index[t.initial])
+    for e in m.elements:
+        for cell, mark in ((0, LEFT_MARK), (2, RIGHT_MARK)):
+            for i in run_visits(m, (e,), start, cell):
+                q = t.states[i]
+                if t.out.get((q, mark)) and not (mark == RIGHT_MARK and q in t.finals):
+                    raise UnsupportedProduction(
+                        f"the run of class {m.element_id(e)!r} produces output on {mark}"
+                    )
     registry.register(monoid_name, m)
-    b = _FotBuilder(t, m, monoid_name)
 
-    letters = b.letters()
-    elements = b.elements()
-
-    # --- node formulas: the full run visits (q, x) and produces b there
     pos = {}
     for q in t.states:
-        for out_sym in t.out_alphabet:
-            sources = [a for a in letters if t.out.get((q, a)) == (out_sym,)]
-            disjuncts = []
-            for a in sources:
-                for e1 in elements:
-                    for e3 in elements:
-                        if q in b.vis([e1], a, [e3], (0, t.initial)):
-                            disjuncts.append(
-                                conj(
-                                    [Letter(a, "x"), b.pre(e1, "x"), b.suf(e3, "x")]
-                                )
-                            )
-            if disjuncts:
-                pos[(q, out_sym)] = disj(disjuncts)
-
-    # --- order formulas
-    order = {}
-    for q in t.states:
-        for q2 in t.states:
-            order[(q, q2)] = _order_formula(b, q, q2)
-
-    # --- domain: linear word whose class is accepting
-    accepted = accepted_classes(m)
-    dom_disjuncts = []
-    for e in accepted:
-        per_last = []
-        for a in letters:
-            for e1 in elements:
-                if m.product(e1, m.morphism[a]) == e:
-                    per_last.append(conj([Letter(a, "x"), b.pre(e1, "x")]))
-        if per_last:
-            dom_disjuncts.append(
-                Exists(
-                    "x",
-                    conj(
-                        [
-                            _is_real("x", letters),
-                            Forall("z", implies(_is_real("z", letters), Le("z", "x"))),
-                            disj(per_last),
-                        ]
-                    ),
-                )
-            )
-    dom = conj([linear_graph_sentence(), disj(dom_disjuncts)])
-    if m.identity in accepted:  # the empty word, which has no first node
-        dom = disj([dom, Forall("x", neg(_is_real("x", letters)))])
-
+        for b in t.out_alphabet:
+            sources = [Letter(a, "x") for a in t.in_alphabet if t.out.get((q, a)) == (b,)]
+            if sources:
+                visit = RunAtom(monoid_name, "visit", (index[q],), ("x",))
+                pos[(q, b)] = conj([visit, disj(sources)])
+    order = {
+        (q, q2): RunAtom(monoid_name, "reach", (index[q], index[q2]), ("x", "y"))
+        for q in t.states
+        for q2 in t.states
+    }
     return FoTransduction(
         in_alphabet=t.in_alphabet,
         out_alphabet=t.out_alphabet,
-        dom=dom,
+        dom=RunAtom(monoid_name, "accept", (), ()),
         copies=tuple(t.states),
         pos=pos,
         order=order,
     )
-
-
-def _is_real(var: str, letters) -> Formula:
-    return disj([Letter(a, var) for a in letters])
-
-
-def _order_formula(b: _FotBuilder, q, q2) -> Formula:
-    """Does the run continued from (q, x) visit (q2, y)?"""
-    m = b.m
-    letters = b.letters()
-    elements = b.elements()
-
-    # x == y: run started on the cell revisits it
-    eq_disjuncts = []
-    for e1 in elements:
-        for a in letters:
-            for e3 in elements:
-                if q2 in b.vis([e1], a, [e3], (2, q)):
-                    eq_disjuncts.append(
-                        conj([Letter(a, "x"), b.pre(e1, "x"), b.suf(e3, "x")])
-                    )
-    part_eq = conj([var_eq("x", "y"), disj(eq_disjuncts)])
-
-    # x < y: factors are pre | gap=u[x..y-1] | target cell | suf
-    fwd = []
-    for e1 in elements:
-        for e2 in elements:
-            for a in letters:
-                for e3 in elements:
-                    if q2 in b.vis([e1, e2], a, [e3], (2, q)):
-                        fwd.append(
-                            conj(
-                                [
-                                    b.pre(e1, "x"),
-                                    b.fact(e2, "x", "z"),
-                                    Letter(a, "y"),
-                                    b.suf(e3, "y"),
-                                ]
-                            )
-                        )
-    part_fwd = conj(
-        [var_lt("x", "y"), Exists("z", conj([_succ("z", "y"), disj(fwd)]))]
-    )
-
-    # y < x: factors are pre | target cell | gap=u[y+1..x-1] | right=u[x..]
-    # the right segment's class is recovered from the letter at x and the
-    # suffix class strictly after x
-    bwd_empty = []  # x == y + 1, empty gap
-    bwd_gap = []
-    for e1 in elements:
-        for a in letters:
-            for bx in letters:
-                for e5 in elements:
-                    e_right = m.product(m.morphism[bx], e5)
-                    if q2 in b.vis([e1], a, [m.identity, e_right], (4, q)):
-                        bwd_empty.append(
-                            conj(
-                                [
-                                    b.pre(e1, "y"),
-                                    Letter(a, "y"),
-                                    Letter(bx, "x"),
-                                    b.suf(e5, "x"),
-                                ]
-                            )
-                        )
-                    for e2 in elements:
-                        if q2 in b.vis([e1], a, [e2, e_right], (4, q)):
-                            bwd_gap.append(
-                                conj(
-                                    [
-                                        b.pre(e1, "y"),
-                                        Letter(a, "y"),
-                                        b.fact(e2, "z1", "z2"),
-                                        Letter(bx, "x"),
-                                        b.suf(e5, "x"),
-                                    ]
-                                )
-                            )
-    part_bwd = disj(
-        [
-            conj([_succ("y", "x"), disj(bwd_empty)]),
-            conj(
-                [
-                    var_lt("y", "x"),
-                    Exists(
-                        "z1",
-                        conj(
-                            [
-                                _succ("y", "z1"),
-                                Exists(
-                                    "z2",
-                                    conj([_succ("z2", "x"), Le("z1", "z2"), disj(bwd_gap)]),
-                                ),
-                            ]
-                        ),
-                    ),
-                ]
-            ),
-        ]
-    )
-    return disj([part_eq, part_fwd, part_bwd])
 
 
 # ---------------------------------------------------------------------------
@@ -671,26 +459,6 @@ def _dfa_is_empty(d: Dfa) -> bool:
     return not d.finals
 
 
-def _sub_dfa(alphabet: Alphabet, delta, initial, finals) -> Dfa:
-    """Reachable sub-DFA of a total step table, minimized."""
-    seen = {initial}
-    queue = deque([initial])
-    states = [initial]
-    sub = {}
-    while queue:
-        s = queue.popleft()
-        for a in alphabet:
-            t = delta(s, a)
-            sub[(s, a)] = t
-            if t not in seen:
-                seen.add(t)
-                states.append(t)
-                queue.append(t)
-    return dfa_minimize(
-        Dfa(tuple(states), alphabet, initial, frozenset(f for f in finals if f in seen), sub)
-    )
-
-
 class _JumpTables:
     """Decompositions of one compiled guard-and-jump DFA.
 
@@ -729,15 +497,10 @@ class _JumpTables:
         return tuple(sorted(seen, key=self.d.states.index))
 
     def prefix_language(self, s1) -> Dfa:
-        return _sub_dfa(
-            self.base, self.zero, self.after_mark, frozenset({s1})
-        )
+        return explore_dfa(self.base, lambda a: a, self.after_mark, self.zero, lambda t: t == s1)
 
     def suffix_accepts_from(self, s) -> Dfa:
-        finals = frozenset(
-            t for t in self.d.states if self.step(t, RIGHT_MARK, self.ZERO) in self.d.finals
-        )
-        return _sub_dfa(self.base, self.zero, s, finals)
+        return explore_dfa(self.base, lambda a: a, s, self.zero, self.end_vector().__contains__)
 
     def end_vector(self) -> frozenset:
         return frozenset(
@@ -782,21 +545,7 @@ class _JumpTables:
                 s for s in self.d.states if self.d.states[h[idx[s]]] in end
             )
 
-        seen = {ident}
-        queue = deque([ident])
-        states = [ident]
-        sub = {}
-        while queue:
-            h = queue.popleft()
-            for a in self.base:
-                g = delta(h, a)
-                sub[(h, a)] = g
-                if g not in seen:
-                    seen.add(g)
-                    states.append(g)
-                    queue.append(g)
-        finals = frozenset(h for h in states if vec_of(h) == vec)
-        return dfa_minimize(Dfa(tuple(states), self.base, ident, finals, sub))
+        return explore_dfa(self.base, lambda a: a, ident, delta, lambda h: vec_of(h) == vec)
 
     def direction_right_language(self, s2) -> Dfa:
         """Suffixes admitting a later y placement accepted by the jump DFA."""

@@ -394,17 +394,20 @@ def dfa_complement(d: Dfa) -> Dfa:
     return dfa_minimize(flipped)
 
 
-def _subsets(alphabet_: Alphabet, cls: tuple, nclasses: int, init: frozenset,
-             successors, is_final) -> Dfa:
-    """Subset construction over classes ``0..nclasses-1``; ``successors(S, c)``
-    is the subset reached from ``S`` on class ``c``."""
+def explore_dfa(alphabet_: Alphabet, key, init, step, is_final) -> Dfa:
+    """Minimal DFA of the states reachable from ``init``, explored breadth
+    first.  States are any hashable values; as in :func:`dense_dfa`, moves
+    depend on a symbol only through ``key(symbol)``, and ``step(s, k)`` is
+    called once per reached state and distinct key."""
+    keys = {}
+    cls = tuple([keys.setdefault(key(a), len(keys)) for a in alphabet_.symbols])
     number = {init: 0}
     order = [init]
     rows = []
     for s in order:
         row = []
-        for c in range(nclasses):
-            t = successors(s, c)
+        for k in keys:
+            t = step(s, k)
             i = number.get(t)
             if i is None:
                 i = number[t] = len(order)
@@ -417,15 +420,9 @@ def _subsets(alphabet_: Alphabet, cls: tuple, nclasses: int, init: frozenset,
 
 def determinize_nfa(alphabet_: Alphabet, initials, finals, moves) -> Dfa:
     """Subset construction.  ``moves(state, symbol)`` yields successor states."""
-    syms = alphabet_.symbols
-
-    def successors(s, j):
-        a = syms[j]
-        return frozenset(r for q in s for r in moves(q, a))
-
-    cls = tuple(range(len(syms)))
-    return _subsets(
-        alphabet_, cls, len(syms), frozenset(initials), successors, lambda s: s & finals
+    return explore_dfa(
+        alphabet_, lambda a: a, frozenset(initials),
+        lambda s, a: frozenset(r for q in s for r in moves(q, a)), lambda s: s & finals,
     )
 
 
@@ -444,22 +441,12 @@ def dfa_project_bit(d: Dfa, bit: int) -> Dfa:
             raise AlphabetError("bit index out of range")
         lifts.setdefault((b, bits[:bit] + bits[bit + 1 :]), []).append(j)
     src = d._cls
-    groups = {}
-    cls = tuple(
-        [
-            groups.setdefault(tuple(sorted({src[j] for j in lift})), len(groups))
-            for lift in lifts.values()
-        ]
-    )
-    group_classes = tuple(groups)
     rows, fin = d._rows, d._fin
-
-    def successors(s, g):
-        cs = group_classes[g]
-        return frozenset([rows[q][c] for q in s for c in cs])
-
-    return _subsets(
-        Alphabet(tuple(lifts)), cls, len(groups), frozenset({d._init}), successors,
+    return explore_dfa(
+        Alphabet(tuple(lifts)),
+        lambda s: tuple(sorted({src[j] for j in lifts[s]})),
+        frozenset({d._init}),
+        lambda s, cs: frozenset([rows[q][c] for q in s for c in cs]),
         lambda s: any(fin[q] for q in s),
     )
 

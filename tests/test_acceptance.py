@@ -97,7 +97,7 @@ def test_criterion_5_fot_semantics(doubler_fot):
 
 
 def test_criterion_6_twoway_to_fot(doubler):
-    with budget("criterion 6 (machine to transduction)", 60.0):
+    with budget("criterion 6 (machine to transduction)", 10.0):
         registry = MonoidRegistry()
         T = twoway_to_fot(doubler, registry, "M")
         fig = cli.Artifact("2wt", doubler, MonoidRegistry())

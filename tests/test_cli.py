@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -22,7 +23,7 @@ from twofst.cli import (
 )
 from twofst.machines import block_doubler, block_doubler_fot, copier, erase_b_seq
 from twofst.monoid import transition_monoid
-from twofst.translate import fot_to_fo_lookaround, fo_la_to_sf_la
+from twofst.translate import fot_to_fo_lookaround, fo_la_to_sf_la, twoway_to_fot
 from twofst.words import show_word
 
 from conftest import data_path
@@ -109,9 +110,11 @@ def artifact_fixtures():
     from twofst.monoid import class_language_dfa, class_of
 
     yield serialize_dfa(class_language_dfa(monoid, class_of(monoid, "ab")))
+    atoms = MonoidRegistry()  # a transduction of run atoms over an embedded monoid
+    yield serialize_fot(twoway_to_fot(doubler, atoms, "M"), atoms)
 
 
-@pytest.mark.parametrize("idx", range(7))
+@pytest.mark.parametrize("idx", range(8))
 def test_serialization_round_trip(idx):
     text = list(artifact_fixtures())[idx]
     art = parse_text(text)
@@ -244,15 +247,16 @@ def test_cli_to_fot_and_back(tmp_path, capsys):
     from twofst.fot import fot_eval
 
     assert show_word(fot_eval(art.value, "aab", art.registry).output) == "aabb"
+    assert os.path.getsize(fot_file) < 10_000  # one run atom per decision
     code, out, _ = run_cli(
         capsys,
         "check-equiv",
         data_path("fig1.2wt"),
         fot_file,
         "--max-len",
-        "3",
+        "5",
     )
-    assert code == 0
+    assert code == 0 and out.startswith("equivalent-up-to-5")
     # the empty word too: the machine maps it to itself, and so does the
     # domain of the generated transduction
     code, out, _ = run_cli(
@@ -260,6 +264,54 @@ def test_cli_to_fot_and_back(tmp_path, capsys):
         "--max-len", "2", "--min-len", "0", "--json",
     )
     assert code == 0 and json.loads(out)["words_tested"] == 7
+
+
+A_DOUBLER = """type: 2wt
+input: a b
+output: a b
+states: s
+initial: s
+final: s
+s ^ -> s / - +1
+s a -> s / aa +1
+s b -> s / b +1
+"""
+
+
+def test_cli_to_fot_multi_letter_production(tmp_path, capsys):
+    # normalize names its emission states with tuples; the transduction file
+    # names its copies as the machine files name states
+    machine = tmp_path / "a_doubler.2wt"
+    machine.write_text(A_DOUBLER)
+    fot_file = str(tmp_path / "a_doubler.fot")
+    code, _, _ = run_cli(capsys, "to-fot", str(machine), "-o", fot_file)
+    assert code == 0
+    assert parse(fot_file).value.copies == ("q0", "q1")
+    code, out, _ = run_cli(
+        capsys, "check-equiv", str(machine), fot_file, "--max-len", "4", "--min-len", "0"
+    )
+    assert code == 0 and out.startswith("equivalent-up-to-4")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("dom: (accept M)", "dom: (accept N)"),  # no such monoid
+        ("(visit M 0 x)", "(visit M 3 x)"),  # fig1 has the states 0..2
+        ("(reach M 0 0 x y)", "(reach M 0 x y)"),  # a state index is missing
+    ],
+    ids=["unknown-monoid", "state-out-of-range", "wrong-arity"],
+)
+def test_cli_malformed_run_atoms(tmp_path, capsys, old, new):
+    fot_file = str(tmp_path / "fig1.fot")
+    assert run_cli(capsys, "to-fot", data_path("fig1.2wt"), "-o", fot_file)[0] == 0
+    with open(fot_file) as f:
+        text = f.read()
+    assert old in text
+    with open(fot_file, "w") as f:
+        f.write(text.replace(old, new))
+    code, _, err = run_cli(capsys, "check-equiv", data_path("fig1.2wt"), fot_file, "--max-len", "2")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_eval_formula(tmp_path, capsys):

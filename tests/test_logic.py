@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from twofst.logic import (
     Exists,
     FactorClass,
     Forall,
+    FormulaSyntaxError,
     Le,
     Letter,
     MalformedClassAtom,
@@ -15,6 +17,7 @@ from twofst.logic import (
     Not,
     PrefixClass,
     RegistryError,
+    RunAtom,
     SuffixClass,
     TrueF,
     UnboundVariable,
@@ -208,10 +211,34 @@ def test_parse_show_roundtrip(registry):
         "(and (letter a x) (le x y))",
         "(or (letter b x) (not (true)))",
         "(exists x (forall y (le x y)))",
+        "(accept M)",
+        "(visit M 2 x)",
+        "(reach M 0 1 y x)",
     ]
     for text in texts:
         phi = parse_formula(text)
         assert parse_formula(show_formula(phi)) == phi
+    assert parse_formula("(reach M 0 1 y x)") == RunAtom("M", "reach", (0, 1), ("y", "x"))
+    assert show_formula(RunAtom("M", "visit", (2,), ("x",))) == "(visit M 2 x)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(accept)", "(accept M x)", "(visit M 0)", "(reach M 0 x y)", "(visit M q x)",
+     "(visit M -1 x)", "(visit (true) 0 x)"],
+)
+def test_run_atom_syntax_errors(text):
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula(text)
+
+
+def test_run_atom_registry_errors(registry):
+    with pytest.raises(RegistryError):
+        eval_formula(parse_formula("(accept N)"), "ab", {}, registry)
+    with pytest.raises(RegistryError):  # the doubler has states 0..2
+        eval_formula(parse_formula("(visit M 3 x)"), "ab", {"x": 1}, registry)
+    with pytest.raises(RegistryError):
+        eval_formula(parse_formula("(accept M)"), "ab", {})
 
 
 def test_subst_var_capture():
@@ -235,3 +262,24 @@ def test_session_matches_eval(registry):
             for i in range(1, len(w) + 1):
                 want = dfa_accepts(d, mark_word(w, {"x": i}, ["x"]))
                 assert session.eval(phi, {"x": i}) == want, (show_formula(phi), w, i)
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_run_atoms_compile_as_they_evaluate(registry, marked):
+    # every run atom of the running example's 9-element monoid, on every
+    # word up to length 4 and every assignment, endmarkers included when
+    # marked; reach atoms also with their variables in the other bit order
+    n = 3
+    atoms = [(RunAtom("M", "accept", (), ()), [])]
+    atoms += [(RunAtom("M", "visit", (i,), ("x",)), ["x"]) for i in range(n)]
+    for i, j in product(range(n), repeat=2):
+        phi = RunAtom("M", "reach", (i, j), ("x", "y"))
+        atoms += [(phi, ["x", "y"]), (phi, ["y", "x"])]
+    dfas = [compile_to_dfa(phi, scope, AB, registry, marked) for phi, scope in atoms]
+    for w in words_upto(4):
+        session = EvalSession(w, registry, marked)
+        for (phi, scope), d in zip(atoms, dfas):
+            for cells in product(session.positions, repeat=len(scope)):
+                sigma = dict(zip(scope, cells))
+                want = dfa_accepts(d, mark_word(w, sigma, scope, marked))
+                assert session.eval(phi, sigma) == want, (show_formula(phi), scope, w, cells)

@@ -13,10 +13,10 @@ from twofst.monoid import (
     identity_profile,
     is_aperiodic,
     reach_decision,
+    run_visits,
     transition_monoid,
 )
-from twofst.translate import _visit_states
-from twofst.twoway import behaviors, make_twoway, pumped_context_path, simulate
+from twofst.twoway import behaviors, make_twoway, pumped_context_path, simulate, tape_symbol
 from twofst.words import dfa_accepts
 
 from conftest import budget, crossing_oracle, words_upto
@@ -211,6 +211,22 @@ def test_glue_matches_walk_reference():
         glue(identity_profile((0, 1)), identity_profile((0, 1, 2)))
 
 
+def visits_from(t, w, q, pos):
+    """Configurations of the run of ``t`` on ``w`` from state ``q`` at
+    ``pos``, in order, up to acceptance, a block or a repetition."""
+    seen = {}  # insertion-ordered set
+    while (q, pos) not in seen:
+        seen[(q, pos)] = None
+        if pos == len(w) + 1 and q in t.finals:
+            break
+        key = (q, tape_symbol(w, pos))
+        if key not in t.step:
+            break
+        q, move = t.step[key]
+        pos += move
+    return list(seen)
+
+
 def test_run_decisions_match_simulation():
     # acceptance, boundary reachability and visit states, all walked over
     # profile codes, against direct runs of generated machines
@@ -237,9 +253,23 @@ def test_run_decisions_match_simulation():
                             got = {q2 for q2 in t.states if reach_decision(m, triple, q, q2, leftward)}
                             want = crossing_oracle(t, w, i, j, q, leftward)
                             assert got == want, (t.step, w, i, j, q, leftward)
+                index = {q: k for k, q in enumerate(t.states)}
                 u, a, v = w[: i - 1], w[i - 1], w[i:]
-                got = _visit_states(m, [class_of(m, u)], a, [class_of(m, v)], (0, t.initial))
-                assert got == {q for q, p in configs if p == i}, (t.step, w, i)
+                cut = (class_of(m, u), a, class_of(m, v))
+                got = run_visits(m, cut, (0, index[t.initial]), 2)
+                assert got == {index[q] for q, p in configs if p == i}, (t.step, w, i)
+                # the run continued from each state at i, seen at i and at every other cell
+                for j in range(1, len(w) + 1):
+                    lo, hi = min(i, j), max(i, j)
+                    if i == j:
+                        cuts, si, sj = cut, 2, 2
+                    else:
+                        gap = class_of(m, w[lo : hi - 1])
+                        cuts = (class_of(m, w[: lo - 1]), w[lo - 1], gap, w[hi - 1], class_of(m, w[hi:]))
+                        si, sj = (2, 4) if i < j else (4, 2)
+                    for q in t.states:
+                        want = {index[r] for r, p in visits_from(t, w, q, i) if p == j}
+                        assert run_visits(m, cuts, (si, index[q]), sj) == want, (t.step, w, i, j, q)
     assert all(seen.values()), seen
 
 

@@ -13,11 +13,13 @@ from twofst.machines import (
     parity_twoway,
     reverser,
 )
-from twofst.logic import MonoidRegistry
+from twofst.cli import parse
+from twofst.logic import EvalSession, MonoidRegistry
 from twofst.monoid import class_of, is_aperiodic, reach_decision, transition_monoid
 from twofst.translate import (
     NotAperiodic,
     NotNormalized,
+    UnsupportedProduction,
     compose_right_seq_2w,
     compose_seq_2w,
     fo_la_to_sf_la,
@@ -27,10 +29,11 @@ from twofst.translate import (
 )
 from twofst.lookaround import simulate_fo_la, simulate_sf_la, check_fo_determinism
 from twofst.fot import fot_eval
-from twofst.twoway import context_path, simulate
+from twofst.twoway import context_path, make_twoway, simulate
 from twofst.words import dfa_is_counter_free, make_seq, seq_run, show_word
 
-from conftest import budget, crossing_oracle, words_upto
+from conftest import budget, crossing_oracle, data_path, words_upto
+from fot_expansion import expanded_twoway_to_fot
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -235,10 +238,8 @@ def test_twoway_to_fot_rejects_periodic():
         twoway_to_fot(parity_twoway(), reg)
 
 
-def test_twoway_to_fot_partial_machine():
-    # partial domain: machine accepts only words ending in b
-    from twofst.twoway import make_twoway
-
+def partial_machine():
+    """Accepts only the words that end in b, and copies them."""
     rules = {
         ("s", "^"): ("s", "", 1),
         ("s", "a"): ("s", "a", 1),
@@ -246,7 +247,18 @@ def test_twoway_to_fot_partial_machine():
         ("t", "a"): ("s", "a", 1),
         ("t", "b"): ("t", "b", 1),
     }
-    t = make_twoway(("s", "t"), AB, AB, "s", {"t"}, rules)
+    return make_twoway(("s", "t"), AB, AB, "s", {"t"}, rules)
+
+
+def a_doubler():
+    """One state; writes every a twice, so normalize adds an emission state
+    with endmarker rows that produce output but that no run fires."""
+    rules = {("s", "^"): ("s", "", 1), ("s", "a"): ("s", "aa", 1), ("s", "b"): ("s", "b", 1)}
+    return make_twoway(("s",), AB, AB, "s", {"s"}, rules)
+
+
+def test_twoway_to_fot_partial_machine():
+    t = partial_machine()
     reg = MonoidRegistry()
     T = twoway_to_fot(t, reg, "M")
     for w in words_upto(5):  # the empty word too, which the machine rejects
@@ -254,6 +266,63 @@ def test_twoway_to_fot_partial_machine():
         want = simulate(t, w)
         assert got.output == want.output, w
     assert fot_eval(T, "", reg).reason == "domain"
+
+
+def test_twoway_to_fot_multi_letter_production():
+    t = a_doubler()
+    reg = MonoidRegistry()
+    T = twoway_to_fot(t, reg, "M")
+    assert len(T.copies) == 2  # the state and the emission state of the second a
+    for w in words_upto(5):
+        assert fot_eval(T, w, reg).output == simulate(t, w).output, w
+
+
+def test_twoway_to_fot_rejects_endmarker_output():
+    # the production on ^ fires on every word
+    rules = {("s", "^"): ("s", "b", 1), ("s", "a"): ("s", "a", 1), ("s", "b"): ("s", "b", 1)}
+    with pytest.raises(UnsupportedProduction):
+        twoway_to_fot(make_twoway(("s",), AB, AB, "s", {"s"}, rules), MonoidRegistry())
+
+
+def fig1():
+    return parse(data_path("fig1.2wt")).value
+
+
+@pytest.mark.parametrize(
+    "machine, max_len",
+    [
+        (fig1, 3),
+        pytest.param(fig1, 5, marks=pytest.mark.slow),  # about 50 s: the expansion is 1 MB
+        (copier, 5),
+        (reverser, 5),
+        (partial_machine, 5),
+        (a_doubler, 5),
+    ],
+    ids=["fig1", "fig1-to-5", "copier", "reverser", "partial", "a-doubler"],
+)
+def test_run_atoms_match_class_expansion(machine, max_len):
+    # the domain, every position formula at every position and every order
+    # formula at every pair of positions agree with the class-atom expansion
+    t = machine()
+    reg, ref_reg = MonoidRegistry(), MonoidRegistry()
+    T = twoway_to_fot(t, reg, "M")
+    ref = expanded_twoway_to_fot(t, ref_reg, "M")
+    assert T.copies == ref.copies
+    for w in words_upto(max_len):
+        got, want = EvalSession(w, reg), EvalSession(w, ref_reg)
+        assert got.eval(T.dom) == want.eval(ref.dom), w
+        positions = range(1, len(w) + 1)
+        for c in T.copies:
+            for b in T.out_alphabet:
+                f, g = T.pos_formula(c, b), ref.pos_formula(c, b)
+                for i in positions:
+                    assert got.eval(f, {"x": i}) == want.eval(g, {"x": i}), (w, c, b, i)
+            for c2 in T.copies:
+                f, g = T.order_formula(c, c2), ref.order_formula(c, c2)
+                for i in positions:
+                    for j in positions:
+                        xy = {"x": i, "y": j}
+                        assert got.eval(f, xy) == want.eval(g, xy), (w, c, c2, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -383,27 +452,21 @@ def test_fot_to_twoway_output_independent_of_hash_seed():
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
-@pytest.mark.slow
 def test_round_trip_running_example(doubler):
-    # about 2 minutes on a 2-vCPU machine, over the 60-s tier-1 target: the
-    # star-free walk construction has to compile the class-atom order
-    # formulas of the generated transduction
     reg = MonoidRegistry()
-    T = twoway_to_fot(doubler, reg, "M")
-    rt = fot_to_twoway(T, reg, bound=2)
+    with budget("running-example round trip", 60.0):
+        T = twoway_to_fot(doubler, reg, "M")
+        rt = fot_to_twoway(T, reg, bound=2)
     for w in words_upto(4, min_len=1):
         assert simulate(rt, w).output == simulate(doubler, w).output, w
     assert is_aperiodic(transition_monoid(rt)).aperiodic
 
 
-@pytest.mark.skip(
-    reason="reverse round trip needs twoway_to_fot on a machine with hundreds "
-    "of states and a ~90-element monoid; the class-triple enumeration is far "
-    "beyond desk scale (see decisions ledger)"
-)
-def test_reverse_round_trip_example(doubler_fot):
-    plain = fot_to_twoway(doubler_fot, None, bound=3)
+def test_reverse_round_trip_example(doubler_fot, doubler_plain):
+    # the 339-state plain doubler, whose monoid has 90 elements, back to a
+    # transduction; its run atoms are evaluated, not compiled
     reg = MonoidRegistry()
-    T2 = twoway_to_fot(plain, reg, "M")
-    for w in words_upto(4, min_len=1):
-        assert fot_eval(T2, w, reg).output == fot_eval(doubler_fot, w).output, w
+    with budget("reverse round trip", 30.0):
+        T2 = twoway_to_fot(doubler_plain, reg, "M")
+        for w in words_upto(4, min_len=1):
+            assert fot_eval(T2, w, reg).output == fot_eval(doubler_fot, w).output, w
