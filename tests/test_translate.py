@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,24 +15,36 @@ from twofst.machines import (
     parity_twoway,
     reverser,
 )
-from twofst.cli import parse
+from twofst.cli import parse, serialize_sfla
 from twofst.logic import EvalSession, MonoidRegistry
 from twofst.monoid import class_of, is_aperiodic, reach_decision, transition_monoid
 from twofst.translate import (
+    DirectionAmbiguity,
     NotAperiodic,
     NotNormalized,
+    TooManyTests,
     UnsupportedProduction,
     compose_right_seq_2w,
     compose_seq_2w,
     fo_la_to_sf_la,
     fot_to_fo_lookaround,
     fot_to_twoway,
+    sf_la_to_plain,
     twoway_to_fot,
 )
-from twofst.lookaround import simulate_fo_la, simulate_sf_la, check_fo_determinism
+from twofst.lookaround import (
+    SfLookAroundTransducer,
+    SfTest,
+    SfTransition,
+    check_fo_determinism,
+    check_sf_determinism,
+    sf_test_holds,
+    simulate_fo_la,
+    simulate_sf_la,
+)
 from twofst.fot import fot_eval
 from twofst.twoway import context_path, make_twoway, simulate
-from twofst.words import dfa_is_counter_free, make_seq, seq_run, show_word
+from twofst.words import dfa_is_counter_free, dfa_universal, make_dfa, make_seq, seq_run, show_word
 
 from conftest import budget, crossing_oracle, data_path, words_upto
 from fot_expansion import expanded_twoway_to_fot
@@ -398,6 +412,128 @@ def test_full_pipeline_example(doubler_fot, doubler_plain):
         if want.output is not None:
             assert got.reason != "loop"
     assert is_aperiodic(transition_monoid(plain)).aperiodic
+
+
+# ---------------------------------------------------------------------------
+# Star-free look-around -> plain, on small random machines
+
+
+def _lang(n, finals, step):
+    return make_dfa(tuple(range(n)), AB, 0, finals, {(s, a): step(s, a) for s in range(n) for a in AB})
+
+
+def _test_languages():
+    """The universal language and complementary pairs of star-free ones."""
+    ends_b = lambda s, a: int(a == "b")  # noqa: E731
+    starts_a = lambda s, a: s if s else (1 if a == "a" else 2)  # noqa: E731
+    empty = lambda s, a: 1  # noqa: E731
+    pairs = [
+        (_lang(2, {1}, ends_b), _lang(2, {0}, ends_b)),
+        (_lang(3, {1}, starts_a), _lang(3, {0, 2}, starts_a)),
+        (_lang(2, {0}, empty), _lang(2, {1}, empty)),
+    ]
+    return dfa_universal(AB), pairs
+
+
+def random_sf_machine(rng, univ, pairs):
+    """A 2-3 state star-free look-around machine, tests drawn per state and
+    symbol: none, one universal test, a complementary pair, or (sometimes
+    overlapping) two languages of different pairs.  Endmarker tests watch
+    the side they can see; letter moves lean rightward."""
+    states = tuple(range(rng.choice((2, 3))))
+    moves = {"^": (0, 1), "a": (-1, 0, 1, 1, 1), "b": (-1, 0, 1, 1, 1), "$": (0, -1)}
+    outs = ((), ("a",), ("b",))
+    transitions = []
+    for q in states:
+        for sym in ("^", "a", "b", "$"):
+            r = rng.random()
+            if r < 0.15:
+                continue
+            if r < 0.45:
+                langs = [univ]
+            elif r < 0.85:
+                langs = list(rng.choice(pairs))
+            else:
+                langs = [rng.choice(pair) for pair in rng.sample(pairs, 2)]
+            on_prefix = sym == "$" or (sym != "^" and rng.random() < 0.5)
+            for lang in langs:
+                test = SfTest(lang, sym, univ) if on_prefix else SfTest(univ, sym, lang)
+                transitions.append(
+                    SfTransition(q, test, rng.choice(states), rng.choice(outs), rng.choice(moves[sym]))
+                )
+    finals = frozenset(rng.sample(states, rng.choice((1, 2))))
+    return SfLookAroundTransducer(states, AB, AB, tuple(transitions), 0, finals)
+
+
+def _fired(t, w, path):
+    """The transitions a look-around run fired, one per step of its path."""
+    tape = AB.word(w)
+    return [
+        next(tr for tr in t.transitions if tr.src == q and sf_test_holds(tr.test, tape, pos))
+        for (q, pos) in path[:-1]
+    ]
+
+
+def test_sf_la_to_plain_matches_random_machines():
+    rng = random.Random(5)
+    univ, pairs = _test_languages()
+    reached = Counter()
+    kept = 0
+    with budget("random look-around eliminations", 60.0):
+        while kept < 60:
+            t = random_sf_machine(rng, univ, pairs)
+            if not check_sf_determinism(t, 5):
+                reached["nondeterministic"] += 1
+                continue
+            kept += 1
+            plain = sf_la_to_plain(t)
+            for w in words_upto(5):
+                want = simulate_sf_la(t, w)
+                assert simulate(plain, w).output == want.output, (serialize_sfla(t), w)
+                reached["words"] += 1
+                reached["defined"] += want.defined
+                for tr in _fired(t, w, want.path):
+                    sym = tr.test.letter
+                    if sym in ("^", "$"):
+                        reached[f"{sym}{tr.move:+d}"] += 1
+                        reached["empty word"] += w == ""
+                        reached["inclusive prefix"] += sym == "$" and tr.test.prefix is not univ
+    assert reached["nondeterministic"] > 0, reached
+    for key in ("^+0", "^+1", "$-1", "$+0", "empty word", "inclusive prefix"):
+        assert reached[key] > 0, (key, reached)
+    assert reached["defined"] >= reached["words"] // 20, reached
+
+
+def _one_state(*tests):
+    """Machine with one state ``q`` and a transition per (prefix, letter, suffix, move)."""
+    trans = tuple(
+        SfTransition("q", SfTest(p, sym, s), "q", (), move) for (p, sym, s, move) in tests
+    )
+    return SfLookAroundTransducer(("q",), AB, AB, trans, "q", frozenset({"q"}))
+
+
+def test_sf_la_to_plain_rejects_overlapping_tests():
+    univ, [(ends_b, not_b), (starts_a, not_a), (empty, _)] = _test_languages()
+    cases = [
+        (_one_state((univ, "a", univ, 1), (ends_b, "a", univ, 1)), "enriched letter"),
+        (_one_state((univ, "^", univ, 1), (univ, "^", starts_a, 0)), r"overlap on \("),
+        (_one_state((univ, "$", univ, -1), (ends_b, "$", univ, 0)), r"overlap on \("),
+        (_one_state((univ, "^", empty, 1), (univ, "^", not_a, 1)), "the empty word"),
+        (_one_state((empty, "$", univ, -1), (not_b, "$", univ, 0)), "the empty word"),
+    ]
+    for t, message in cases:
+        with pytest.raises(DirectionAmbiguity, match=message):
+            sf_la_to_plain(t)
+
+
+def test_sf_la_to_plain_caps_the_test_languages():
+    # 65 finite, hence star-free, languages: the words of length k
+    def length(k):
+        return _lang(k + 2, {k}, lambda s, a: min(s + 1, k + 1))
+
+    tests = [(length(k), "a", length(k), 1) for k in range(32)] + [(length(32), "b", dfa_universal(AB), 1)]
+    with pytest.raises(TooManyTests):
+        sf_la_to_plain(_one_state(*tests))
 
 
 # ---------------------------------------------------------------------------
