@@ -47,6 +47,7 @@ from .logic import (
     Formula,
     FormulaSyntaxError,
     MonoidRegistry,
+    check_atoms,
     parse_formula,
     show_formula,
 )
@@ -278,6 +279,8 @@ def _parse_fot(lines: _Lines, registry: MonoidRegistry) -> FoTransduction:
             raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
     if copies is None or dom is None:
         raise ArtifactSyntaxError("fot file needs 'copies:' and 'dom:'")
+    for phi in (dom, *pos.values(), *order.values()):
+        check_atoms(phi, registry)
     return FoTransduction(in_a, out_a, dom, copies, pos, order)
 
 
@@ -296,6 +299,7 @@ def _parse_formula_file(lines: _Lines, registry: MonoidRegistry) -> Formula:
             raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
     if phi is None:
         raise ArtifactSyntaxError("formula file needs 'formula:'")
+    check_atoms(phi, registry)
     return phi
 
 
@@ -371,6 +375,8 @@ def _parse_fola(lines: _Lines, registry: MonoidRegistry) -> FoLookAroundTransduc
             )
         else:
             raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
+    for phi in formulas.values():
+        check_atoms(phi, registry)
     return FoLookAroundTransducer(
         states, in_a, out_a, tuple(transitions), initial, frozenset(finals)
     )

@@ -371,6 +371,27 @@ def _run_monoid(registry: Optional[MonoidRegistry], phi: RunAtom) -> TransitionM
     return m
 
 
+def check_atoms(phi: Formula, registry: MonoidRegistry) -> None:
+    """Raise :class:`RegistryError` unless every class atom of ``phi`` names
+    an element, and every run atom states, of a monoid in ``registry``."""
+    stack, seen = [phi], set()
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:  # formulas are DAGs; visit shared nodes once
+            continue
+        seen.add(id(f))
+        if isinstance(f, (FactorClass, PrefixClass, SuffixClass)):
+            registry.element(f.monoid, f.element)
+        elif isinstance(f, RunAtom):
+            _run_monoid(registry, f)
+        elif isinstance(f, (And, Or)):
+            stack.extend(f.args)
+        elif isinstance(f, Not):
+            stack.append(f.arg)
+        elif isinstance(f, (Exists, Forall)):
+            stack.append(f.body)
+
+
 def _run_truth(m: TransitionMonoid, phi: RunAtom, factors: tuple, segments: tuple) -> bool:
     """Truth of a run atom on a word cut at its variables.
 
@@ -844,11 +865,10 @@ def certify_star_free(
     free_var_order,
     base_alphabet: Alphabet,
     registry: Optional[MonoidRegistry] = None,
-    marked: bool = False,
 ) -> StarFreeCertificate:
     """Compile and check counter-freeness; failure signals an internal bug
     or an uncertified class atom."""
-    d = compile_to_dfa(phi, free_var_order, base_alphabet, registry, marked)
+    d = compile_to_dfa(phi, free_var_order, base_alphabet, registry)
     report = dfa_is_counter_free(d)
     if not report.aperiodic:
         raise NonAperiodicCompilation(

@@ -109,8 +109,11 @@ def sf_test_holds(test: SfTest, w: Word, pos: int) -> bool:
     return dfa_accepts(test.prefix, prefix) and dfa_accepts(test.suffix, suffix)
 
 
-def simulate_sf_la(t: SfLookAroundTransducer, w) -> LaResult:
+def _run(t, w, enabled_on) -> LaResult:
+    """Run a look-around machine; ``enabled_on(w)`` gives the function that
+    lists the ``(transition, targets)`` enabled in a state at a position."""
     w = t.in_alphabet.word(as_word(w))
+    enabled = enabled_on(w)
     last = len(w) + 1
     q, pos = t.initial, 0
     path = [(q, pos)]
@@ -119,21 +122,21 @@ def simulate_sf_la(t: SfLookAroundTransducer, w) -> LaResult:
     while True:
         if pos == last and q in t.finals:
             return LaResult(tuple(s for o in outputs for s in o), tuple(path))
-        enabled = [
-            tr
-            for tr in t.transitions
-            if tr.src == q and sf_test_holds(tr.test, w, pos)
-        ]
-        if len(enabled) > 1:
-            raise DeterminismViolation(
-                f"{len(enabled)} tests fire in state {q!r} at position {pos}"
-            )
-        if not enabled:
+        hits = enabled(q, pos)
+        if not hits:
             reason = "rejected" if pos == last else "blocked"
             return LaResult(None, tuple(path), reason)
-        tr = enabled[0]
+        if len(hits) > 1:
+            raise DeterminismViolation(
+                f"{len(hits)} transitions enabled in state {q!r} at position {pos}"
+            )
+        tr, targets = hits[0]
+        if len(targets) > 1:
+            raise DeterminismViolation(
+                f"transition of {q!r} admits several targets {targets!r} at position {pos}"
+            )
         outputs.append(tr.out)
-        q, pos = tr.dst, pos + tr.move
+        q, pos = tr.dst, targets[0]
         if not 0 <= pos <= last:
             return LaResult(None, tuple(path), "blocked")
         path.append((q, pos))
@@ -142,90 +145,66 @@ def simulate_sf_la(t: SfLookAroundTransducer, w) -> LaResult:
         seen.add((q, pos))
 
 
-def check_sf_determinism(t: SfLookAroundTransducer, max_len: int = 6) -> bool:
-    """Tests per state must be exclusive on every position of every word."""
+def _deterministic_upto(t, max_len: int, enabled_on) -> bool:
+    """At most one enabled transition, with one target, in every state at
+    every position of every word up to ``max_len``."""
     for w in t.in_alphabet.words_upto(max_len):
+        enabled = enabled_on(w)
         for pos in range(0, len(w) + 2):
             for q in t.states:
-                hits = [
-                    tr
-                    for tr in t.transitions
-                    if tr.src == q and sf_test_holds(tr.test, w, pos)
-                ]
-                if len(hits) > 1:
+                hits = enabled(q, pos)
+                if len(hits) > 1 or (hits and len(hits[0][1]) > 1):
                     return False
     return True
 
 
-def _jump_targets(tr: FoTransition, w: Word, pos: int, session: EvalSession) -> list:
-    n = len(w)
-    return [
-        j
-        for j in range(0, n + 2)
-        if session.eval(tr.jump, {"x": pos, "y": j})
-    ]
+def _sf_enabled(t: SfLookAroundTransducer, w: Word):
+    def enabled(q, pos):
+        return [
+            (tr, [pos + tr.move])
+            for tr in t.transitions
+            if tr.src == q and sf_test_holds(tr.test, w, pos)
+        ]
+
+    return enabled
 
 
-def enabled_fo_transitions(
-    t: FoLookAroundTransducer,
-    w: Word,
-    q,
-    pos: int,
-    registry: Optional[MonoidRegistry] = None,
-    session: Optional[EvalSession] = None,
-) -> list:
+def simulate_sf_la(t: SfLookAroundTransducer, w) -> LaResult:
+    return _run(t, w, lambda w: _sf_enabled(t, w))
+
+
+def check_sf_determinism(t: SfLookAroundTransducer, max_len: int = 6) -> bool:
+    """Tests per state must be exclusive on every position of every word."""
+    return _deterministic_upto(t, max_len, lambda w: _sf_enabled(t, w))
+
+
+def _fo_enabled(t: FoLookAroundTransducer, w: Word, registry: Optional[MonoidRegistry]):
     """Transitions whose guard holds and whose jump has a target.
 
     Requiring a target makes the constructed machines deterministic without
     strengthened guards: a successor-following transition is disabled at the
     last node because its jump formula has no model there.
     """
-    if session is None:
-        session = EvalSession(w, registry, marked=True)
-    out = []
-    for tr in t.transitions:
-        if tr.src != q:
-            continue
-        if not session.eval(tr.guard, {"x": pos}):
-            continue
-        targets = _jump_targets(tr, w, pos, session)
-        if targets:
-            out.append((tr, targets))
-    return out
+    session = EvalSession(w, registry, marked=True)
+    cells = range(0, len(w) + 2)
+
+    def enabled(q, pos):
+        out = []
+        for tr in t.transitions:
+            if tr.src != q or not session.eval(tr.guard, {"x": pos}):
+                continue
+            targets = [j for j in cells if session.eval(tr.jump, {"x": pos, "y": j})]
+            if targets:
+                out.append((tr, targets))
+        return out
+
+    return enabled
 
 
 def simulate_fo_la(
     t: FoLookAroundTransducer, w, registry: Optional[MonoidRegistry] = None
 ) -> LaResult:
-    w = t.in_alphabet.word(as_word(w))
-    last = len(w) + 1
-    q, pos = t.initial, 0
-    path = [(q, pos)]
-    seen = {(q, pos)}
-    outputs = []
-    session = EvalSession(w, registry, marked=True)
-    while True:
-        if pos == last and q in t.finals:
-            return LaResult(tuple(s for o in outputs for s in o), tuple(path))
-        enabled = enabled_fo_transitions(t, w, q, pos, registry, session)
-        if not enabled:
-            reason = "rejected" if pos == last else "blocked"
-            return LaResult(None, tuple(path), reason)
-        if len(enabled) > 1:
-            raise DeterminismViolation(
-                f"{len(enabled)} transitions enabled in state {q!r} at position {pos}"
-            )
-        tr, targets = enabled[0]
-        if len(targets) > 1:
-            raise DeterminismViolation(
-                f"jump of {q!r} admits several targets {targets!r} at position {pos}"
-            )
-        outputs.append(tr.out)
-        q, pos = tr.dst, targets[0]
-        path.append((q, pos))
-        if (q, pos) in seen:
-            return LaResult(None, tuple(path), "loop")
-        seen.add((q, pos))
+    return _run(t, w, lambda w: _fo_enabled(t, w, registry))
 
 
 def check_fo_determinism(
@@ -234,13 +213,4 @@ def check_fo_determinism(
     registry: Optional[MonoidRegistry] = None,
 ) -> bool:
     """At most one enabled transition and one jump target everywhere."""
-    for w in t.in_alphabet.words_upto(max_len):
-        session = EvalSession(w, registry, marked=True)
-        for pos in range(0, len(w) + 2):
-            for q in t.states:
-                enabled = enabled_fo_transitions(t, w, q, pos, registry, session)
-                if len(enabled) > 1:
-                    return False
-                if enabled and len(enabled[0][1]) > 1:
-                    return False
-    return True
+    return _deterministic_upto(t, max_len, lambda w: _fo_enabled(t, w, registry))

@@ -1,7 +1,7 @@
 """Small machines and transductions used by the test-suite and the docs."""
 from __future__ import annotations
 
-from .words import Alphabet, alphabet, as_word, make_seq
+from .words import alphabet, as_word, make_seq
 from .twoway import make_twoway
 from .logic import (
     Exists,
@@ -82,8 +82,8 @@ def block_doubler_fot() -> FoTransduction:
     )
 
 
-def identity_seq(alpha: Alphabet = AB):
-    return make_seq((0,), alpha, alpha, 0, {0}, {(0, a): (0, (a,)) for a in alpha})
+def identity_seq():
+    return make_seq((0,), AB, AB, 0, {0}, {(0, a): (0, (a,)) for a in AB})
 
 
 def erase_b_seq():
@@ -105,24 +105,24 @@ def parity_twoway():
     return make_twoway((0, 1), AB, AB, 0, {0}, rules)
 
 
-def copier(alpha: Alphabet = AB):
+def copier():
     """One-pass left-to-right identity transducer."""
     rules = {("c", "^"): ("c", "", 1)}
-    for a in alpha:
+    for a in AB:
         rules[("c", a)] = ("c", (a,), 1)
-    return make_twoway(("c",), alpha, alpha, "c", {"c"}, rules)
+    return make_twoway(("c",), AB, AB, "c", {"c"}, rules)
 
 
-def reverser(alpha: Alphabet = AB):
+def reverser():
     """Two-way transducer writing the reversal of its input."""
     rules = {("r", "^"): ("r", "", 1), ("r", "$"): ("w", "", -1)}
-    for a in alpha:
+    for a in AB:
         rules[("r", a)] = ("r", "", 1)
         rules[("w", a)] = ("w", (a,), -1)
     rules[("w", "^")] = ("f", "", 1)
-    for a in alpha:
+    for a in AB:
         rules[("f", a)] = ("f", "", 1)
-    return make_twoway(("r", "w", "f"), alpha, alpha, "r", {"f"}, rules)
+    return make_twoway(("r", "w", "f"), AB, AB, "r", {"f"}, rules)
 
 
 def double_writer():

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import Optional
 
 from .words import (
@@ -84,6 +85,10 @@ class TooManyTests(RuntimeError):
 
 class DirectionAmbiguity(RuntimeError):
     pass
+
+
+# most distinct test languages whose answers sf_la_to_plain adds as letter bits
+MAX_TESTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -645,26 +650,11 @@ def fo_la_to_sf_la(
 
         sigma_states, sigma_sub, sigma_start = tab.sigma_tracking()
         sigma_reach = sigma_states
-        sigma_lang_cache = {}
-        vec_lang_cache = {}
-        suffix_acc_cache = {}
-
-        def sigma_lang(target):
-            if target not in sigma_lang_cache:
-                sigma_lang_cache[target] = tab.sigma_language(
-                    sigma_states, sigma_sub, sigma_start, target
-                )
-            return sigma_lang_cache[target]
-
-        def vec_lang(vec):
-            if vec not in vec_lang_cache:
-                vec_lang_cache[vec] = tab.vector_language(vec)
-            return vec_lang_cache[vec]
-
-        def suffix_acc(s):
-            if s not in suffix_acc_cache:
-                suffix_acc_cache[s] = tab.suffix_accepts_from(s)
-            return suffix_acc_cache[s]
+        sigma_lang = cache(
+            lambda target: tab.sigma_language(sigma_states, sigma_sub, sigma_start, target)
+        )
+        vec_lang = cache(tab.vector_language)
+        suffix_acc = cache(tab.suffix_accepts_from)
 
         # --- entries at letter positions
         for s1 in prefix_states:
@@ -853,7 +843,7 @@ class _BitTable:
     """Distinct test languages in declaration order; constants folded away."""
 
     def __init__(self):
-        self.entries = []  # (key, dfa, flavor)
+        self.entries = []  # (dfa, flavor)
         self.index = {}
 
     def register(self, d: Dfa, flavor: str):
@@ -865,16 +855,46 @@ class _BitTable:
         key = (dfa_table(dm), flavor)
         if key not in self.index:
             self.index[key] = len(self.entries)
-            self.entries.append((key, dm, flavor))
+            self.entries.append((dm, flavor))
         return ("bit", self.index[key])
 
 
-def sf_la_to_plain(
-    t: SfLookAroundTransducer, cap: int = 64
-) -> TwoWayTransducer:
+def _annotator(tests: list, in_alphabet: Alphabet, enriched: bool) -> SequentialTransducer:
+    """Sequential pass that runs every ``(dfa, flavor)`` test and appends one
+    bit per test to each letter.  A strict bit says the DFA accepted before
+    the letter, an inclusive bit that it accepts with the letter.  Input
+    letters are base letters, or the ``(letter, bits)`` pairs of an earlier
+    pass when ``enriched``."""
+    dfas = [d for (d, _) in tests]
+    start = tuple(d.initial for d in dfas)
+    seen = {start: None}  # insertion-ordered
+    queue = deque([start])
+    rules = {}
+    letters = set()
+    while queue:
+        sigma = queue.popleft()
+        for x in in_alphabet:
+            a, bits = x if enriched else (x, ())
+            nxt = tuple(d.delta[(s, a)] for s, d in zip(sigma, dfas))
+            bits += tuple(
+                1 if (s if flavor == "strict" else n) in d.finals else 0
+                for (d, flavor), s, n in zip(tests, sigma, nxt)
+            )
+            rules[(sigma, x)] = (nxt, ((a, bits),))
+            letters.add((a, bits))
+            if nxt not in seen:
+                seen[nxt] = None
+                queue.append(nxt)
+    out = Alphabet(tuple(sorted(letters, key=lambda s: (str(s[0]), s[1]))))
+    return make_seq(tuple(seen), in_alphabet, out, start, seen, rules)
+
+
+def sf_la_to_plain(t: SfLookAroundTransducer) -> TwoWayTransducer:
     """Eliminate look-around: annotator passes enrich each letter with the
     answers of every distinct test language, then a core machine resolves
-    tests locally; the passes are folded in by composition.
+    tests locally; the passes are folded in by composition.  The left pass
+    runs the prefix DFAs; the right pass runs the reversed suffix DFAs on the
+    mirrored tape.
 
     Endmarker tests need whole-word answers, which no strict bit carries;
     the core machine probes the adjacent cell, whose inclusive bits hold
@@ -884,108 +904,42 @@ def sf_la_to_plain(
     pre_bits = _BitTable()
     suf_bits = _BitTable()
 
-    # (transition -> resolved test requirements)
+    # (transition, prefix requirement, suffix requirement, holds on ε); a
+    # test on ^ sees an empty prefix, a test on $ an empty suffix
     plan = []
     for tr in t.transitions:
-        ltr = tr.test.letter
-        if ltr == LEFT_MARK:
-            pre_req = ("const", dfa_accepts(tr.test.prefix, ()))
-            suf_req = suf_bits.register(tr.test.suffix, "incl")
-            eps_suf = dfa_accepts(tr.test.suffix, ())
-            plan.append((tr, pre_req, suf_req, eps_suf))
-        elif ltr == RIGHT_MARK:
-            suf_req = ("const", dfa_accepts(tr.test.suffix, ()))
-            pre_req = pre_bits.register(tr.test.prefix, "incl")
-            eps_pre = dfa_accepts(tr.test.prefix, ())
-            plan.append((tr, pre_req, suf_req, eps_pre))
+        prefix, sym, suffix = tr.test.prefix, tr.test.letter, tr.test.suffix
+        if sym == LEFT_MARK:
+            pre_req = ("const", dfa_accepts(prefix, ()))
         else:
-            pre_req = pre_bits.register(tr.test.prefix, "strict")
-            suf_req = suf_bits.register(tr.test.suffix, "strict")
-            plan.append((tr, pre_req, suf_req, None))
+            pre_req = pre_bits.register(prefix, "incl" if sym == RIGHT_MARK else "strict")
+        if sym == RIGHT_MARK:
+            suf_req = ("const", dfa_accepts(suffix, ()))
+        else:
+            suf_req = suf_bits.register(suffix, "incl" if sym == LEFT_MARK else "strict")
+        eps = dfa_accepts(prefix, ()) and dfa_accepts(suffix, ())
+        plan.append((tr, pre_req, suf_req, eps))
 
     n_pre, n_suf = len(pre_bits.entries), len(suf_bits.entries)
-    if n_pre + n_suf > cap:
+    if n_pre + n_suf > MAX_TESTS:
         raise TooManyTests(
-            f"{n_pre + n_suf} distinct test languages exceed the cap of {cap}"
+            f"{n_pre + n_suf} distinct test languages exceed the cap of {MAX_TESTS}"
         )
-
-    # --- left annotator: tracks all prefix DFAs, one bit per language
-    pre_dfas = [d for (_, d, _) in pre_bits.entries]
-    pre_flavors = [fl for (_, _, fl) in pre_bits.entries]
-
-    def pre_bit_vector(sigma, a):
-        out = []
-        for i, d in enumerate(pre_dfas):
-            s = sigma[i]
-            if pre_flavors[i] == "strict":
-                out.append(1 if s in d.finals else 0)
-            else:
-                out.append(1 if d.delta[(s, a)] in d.finals else 0)
-        return tuple(out)
-
-    sigma0 = tuple(d.initial for d in pre_dfas)
-    sig_seen = {sigma0: None}  # insertion-ordered
-    sig_queue = deque([sigma0])
-    left_rules = {}
-    e1_letters = set()
-    while sig_queue:
-        sigma = sig_queue.popleft()
-        for a in base:
-            bits = pre_bit_vector(sigma, a)
-            nxt = tuple(d.delta[(sigma[i], a)] for i, d in enumerate(pre_dfas))
-            left_rules[(sigma, a)] = (nxt, ((a, bits),))
-            e1_letters.add((a, bits))
-            if nxt not in sig_seen:
-                sig_seen[nxt] = None
-                sig_queue.append(nxt)
-    e1_alpha = Alphabet(tuple(sorted(e1_letters, key=lambda s: (str(s[0]), s[1]))))
-    left_ann = make_seq(
-        tuple(sig_seen), base, e1_alpha, sigma0, sig_seen, left_rules
+    left_ann = _annotator(pre_bits.entries, base, False)
+    right_ann = _annotator(
+        [(dfa_reverse(d), flavor) for (d, flavor) in suf_bits.entries],
+        left_ann.out_alphabet,
+        True,
     )
+    letters = right_ann.out_alphabet
 
-    # --- right annotator (runs on the reversed tape): reverse DFAs
-    suf_rev = [dfa_reverse(d) for (_, d, _) in suf_bits.entries]
-    suf_flavors = [fl for (_, _, fl) in suf_bits.entries]
-
-    def suf_bit_vector(rho, a):
-        out = []
-        for i, d in enumerate(suf_rev):
-            s = rho[i]
-            if suf_flavors[i] == "strict":
-                out.append(1 if s in d.finals else 0)
-            else:
-                out.append(1 if d.delta[(s, a)] in d.finals else 0)
-        return tuple(out)
-
-    rho0 = tuple(d.initial for d in suf_rev)
-    rho_seen = {rho0: None}  # insertion-ordered
-    rho_queue = deque([rho0])
-    right_rules = {}
-    e2_letters = set()
-    while rho_queue:
-        rho = rho_queue.popleft()
-        for (a, pbits) in e1_alpha:
-            sbits = suf_bit_vector(rho, a)
-            nxt = tuple(d.delta[(rho[i], a)] for i, d in enumerate(suf_rev))
-            out_letter = (a, pbits + sbits)
-            right_rules[(rho, (a, pbits))] = (nxt, (out_letter,))
-            e2_letters.add(out_letter)
-            if nxt not in rho_seen:
-                rho_seen[nxt] = None
-                rho_queue.append(nxt)
-    e2_alpha = Alphabet(tuple(sorted(e2_letters, key=lambda s: (str(s[0]), s[1]))))
-    right_ann = make_seq(
-        tuple(rho_seen), e1_alpha, e2_alpha, rho0, rho_seen, right_rules
-    )
-
-    # --- core machine over fully enriched letters
-    def pre_holds(req, bits):
-        kind, payload = req
-        return payload if kind == "const" else bits[payload] == 1
-
-    def suf_holds(req, bits):
-        kind, payload = req
-        return payload if kind == "const" else bits[n_pre + payload] == 1
+    # --- core machine over fully enriched letters (prefix bits, then suffix bits)
+    def holds(item, bits):
+        _, pre_req, suf_req, _ = item
+        return all(
+            payload if kind == "const" else bits[offset + payload] == 1
+            for (kind, payload), offset in ((pre_req, 0), (suf_req, n_pre))
+        )
 
     core_rules = {}
     core_finals = set(t.finals)
@@ -1001,115 +955,49 @@ def sf_la_to_plain(
     for item in plan:
         by_src.setdefault(item[0].src, []).append(item)
 
-    probe_r = {}
-    probe_l = {}
-    ret_r = {}
-    ret_l = {}
+    # per endmarker: the probe state of each source, the return state of each target
+    probes = {LEFT_MARK: {}, RIGHT_MARK: {}}
+    rets = {LEFT_MARK: {}, RIGHT_MARK: {}}
+    sides = ((LEFT_MARK, RIGHT_MARK, 1, "0"), (RIGHT_MARK, LEFT_MARK, -1, "N"))
     for src, items in by_src.items():
-        letter_items = [it for it in items if it[0].test.letter not in (LEFT_MARK, RIGHT_MARK)]
-        lm_items = [it for it in items if it[0].test.letter == LEFT_MARK]
-        rm_items = [it for it in items if it[0].test.letter == RIGHT_MARK]
-        for e in e2_alpha:
-            a, bits = e
-            for (tr, pre_req, suf_req, _) in letter_items:
-                if tr.test.letter != a:
-                    continue
-                if pre_holds(pre_req, bits) and suf_holds(suf_req, bits):
+        for e in letters:
+            for item in items:
+                tr = item[0]
+                if tr.test.letter == e[0] and holds(item, e[1]):
                     core_emit(src, e, tr.dst, tr.out, tr.move)
-        if lm_items:
-            probe = ("probe0", src)
-            probe_r[src] = probe
-            core_emit(src, LEFT_MARK, probe, (), 1)
-            for e in e2_alpha:
-                a, bits = e
-                hits = [
-                    it
-                    for it in lm_items
-                    if pre_holds(it[1], bits) and suf_holds(it[2], bits)
-                ]
+        for mark, other, inward, tag in sides:
+            marked = [it for it in items if it[0].test.letter == mark]
+            if not marked:
+                continue
+            probe = ("probe" + tag, src)
+            probes[mark][src] = probe
+            core_emit(src, mark, probe, (), inward)
+            # on the empty word the probe lands on the other endmarker
+            for sym in (*letters, other):
+                hits = [it for it in marked if (it[3] if sym == other else holds(it, sym[1]))]
                 if len(hits) > 1:
-                    raise DirectionAmbiguity(
-                        f"endmarker tests of {src!r} overlap on {e!r}"
-                    )
+                    where = "the empty word" if sym == other else repr(sym)
+                    raise DirectionAmbiguity(f"endmarker tests of {src!r} overlap on {where}")
                 if hits:
-                    (tr, _, _, _) = hits[0]
-                    if tr.move == 1:
-                        core_emit(probe, e, tr.dst, tr.out, 0)
-                    else:  # move 0: return to the left endmarker
-                        ret = ("ret0", tr.dst)
-                        ret_r[tr.dst] = ret
-                        core_emit(probe, e, ret, tr.out, -1)
-            # empty input: the probe lands on the right endmarker
-            eps_hits = [it for it in lm_items if pre_holds(it[1], ()) and it[3]]
-            if len(eps_hits) > 1:
-                raise DirectionAmbiguity(
-                    f"endmarker tests of {src!r} overlap on the empty word"
-                )
-            if eps_hits:
-                (tr, _, _, _) = eps_hits[0]
-                if tr.move == 1:
-                    core_emit(probe, RIGHT_MARK, tr.dst, tr.out, 0)
-                else:
-                    ret = ("ret0", tr.dst)
-                    ret_r[tr.dst] = ret
-                    core_emit(probe, RIGHT_MARK, ret, tr.out, -1)
-        if rm_items:
-            probe = ("probeN", src)
-            probe_l[src] = probe
-            core_emit(src, RIGHT_MARK, probe, (), -1)
-            for e in e2_alpha:
-                a, bits = e
-                hits = [
-                    it
-                    for it in rm_items
-                    if suf_holds(it[2], bits) and pre_holds(it[1], bits)
-                ]
-                if len(hits) > 1:
-                    raise DirectionAmbiguity(
-                        f"endmarker tests of {src!r} overlap on {e!r}"
-                    )
-                if hits:
-                    (tr, _, _, _) = hits[0]
-                    if tr.move == -1:
-                        core_emit(probe, e, tr.dst, tr.out, 0)
-                    else:  # move 0: return to the right endmarker
-                        ret = ("retN", tr.dst)
-                        ret_l[tr.dst] = ret
-                        core_emit(probe, e, ret, tr.out, 1)
-            eps_hits = [it for it in rm_items if suf_holds(it[2], ()) and it[3]]
-            if len(eps_hits) > 1:
-                raise DirectionAmbiguity(
-                    f"endmarker tests of {src!r} overlap on the empty word"
-                )
-            if eps_hits:
-                (tr, _, _, _) = eps_hits[0]
-                if tr.move == -1:
-                    core_emit(probe, LEFT_MARK, tr.dst, tr.out, 0)
-                else:
-                    ret = ("retN", tr.dst)
-                    ret_l[tr.dst] = ret
-                    core_emit(probe, LEFT_MARK, ret, tr.out, 1)
+                    tr = hits[0][0]
+                    if tr.move == inward:
+                        core_emit(probe, sym, tr.dst, tr.out, 0)
+                    else:  # move 0: return to the endmarker
+                        ret = ("ret" + tag, tr.dst)
+                        rets[mark][tr.dst] = ret
+                        core_emit(probe, sym, ret, tr.out, -inward)
 
-    for dst, ret in ret_r.items():
-        if dst in probe_r:
-            core_emit(ret, LEFT_MARK, probe_r[dst], (), 1)
-    for dst, ret in ret_l.items():
-        core_finals.discard(ret)
-        if dst in t.finals:
-            core_finals.add(ret)
-        if dst in probe_l:
-            core_emit(ret, RIGHT_MARK, probe_l[dst], (), -1)
+    for mark, _, inward, _ in sides:
+        for dst, ret in rets[mark].items():
+            if mark == RIGHT_MARK and dst in t.finals:  # back on $, accept as dst would
+                core_finals.add(ret)
+            if dst in probes[mark]:
+                core_emit(ret, mark, probes[mark][dst], (), inward)
 
-    core_states = tuple(
-        set(t.states)
-        | set(probe_r.values())
-        | set(probe_l.values())
-        | set(ret_r.values())
-        | set(ret_l.values())
-    )
+    added = {s for table in (*probes.values(), *rets.values()) for s in table.values()}
     core = make_twoway(
-        core_states,
-        e2_alpha,
+        tuple(set(t.states) | added),
+        letters,
         t.out_alphabet,
         t.initial,
         core_finals,
@@ -1126,10 +1014,9 @@ def fot_to_twoway(
     T: FoTransduction,
     registry: Optional[MonoidRegistry] = None,
     bound: int = 4,
-    cap: int = 64,
 ) -> TwoWayTransducer:
     """Full chain: transduction -> FO look-around -> star-free look-around
     -> plain two-way transducer."""
     la = fot_to_fo_lookaround(T)
     sf = fo_la_to_sf_la(la, registry, bound)
-    return sf_la_to_plain(sf, cap)
+    return sf_la_to_plain(sf)

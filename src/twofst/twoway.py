@@ -99,15 +99,17 @@ def tape_symbol(w: Word, pos: int):
     return w[pos - 1]
 
 
-def simulate(t: TwoWayTransducer, w, max_steps: Optional[int] = None) -> SimResult:
-    """Run ``t`` on ``w``; loop detection by configuration repetition."""
+def simulate(t: TwoWayTransducer, w) -> SimResult:
+    """Run ``t`` on ``w``; loop detection by configuration repetition.
+
+    A deterministic run repeats a configuration within |Q|·(n+2) steps, so
+    ``seen`` alone ends every loop."""
     w = t.in_alphabet.word(as_word(w))
     last = len(w) + 1
     q, pos = t.initial, 0
     configs = [(q, pos)]
     outputs = []
     seen = {(q, pos)}
-    limit = max_steps if max_steps is not None else len(t.states) * (len(w) + 2) + 1
     while True:
         if pos == last and q in t.finals:
             run = Run(w, tuple(configs), tuple(outputs), True)
@@ -121,7 +123,7 @@ def simulate(t: TwoWayTransducer, w, max_steps: Optional[int] = None) -> SimResu
         q, move = t.step[(q, a)]
         pos += move
         configs.append((q, pos))
-        if (q, pos) in seen or len(configs) > limit + 1:
+        if (q, pos) in seen:
             run = Run(w, tuple(configs), tuple(outputs), False)
             return SimResult(None, run, "loop")
         seen.add((q, pos))

@@ -276,8 +276,8 @@ def dfa_accepts(d: Dfa, w) -> bool:
     return d._fin[q]
 
 
-def dfa_language_upto(d: Dfa, max_len: int, min_len: int = 0):
-    return [w for w in d.alphabet.words_upto(max_len, min_len) if dfa_accepts(d, w)]
+def dfa_language_upto(d: Dfa, max_len: int):
+    return [w for w in d.alphabet.words_upto(max_len) if dfa_accepts(d, w)]
 
 
 def dfa_minimize(d: Dfa) -> Dfa:

@@ -21,6 +21,7 @@ from twofst.cli import (
     serialize_fola,
     serialize_dfa,
 )
+from twofst.logic import RegistryError
 from twofst.machines import block_doubler, block_doubler_fot, copier, erase_b_seq
 from twofst.monoid import transition_monoid
 from twofst.translate import fot_to_fo_lookaround, fo_la_to_sf_la, twoway_to_fot
@@ -299,8 +300,19 @@ def test_cli_to_fot_multi_letter_production(tmp_path, capsys):
         ("dom: (accept M)", "dom: (accept N)"),  # no such monoid
         ("(visit M 0 x)", "(visit M 3 x)"),  # fig1 has the states 0..2
         ("(reach M 0 0 x y)", "(reach M 0 x y)"),  # a state index is missing
+        # atoms no run on short words evaluates are checked when parsed
+        ("(reach M 2 2 x y)", "(pclass M nonsense x)"),
+        ("(reach M 2 2 x y)", "(reach M 7 0 x y)"),
+        ("(reach M 2 2 x y)", "(reach Q 0 0 x y)"),
     ],
-    ids=["unknown-monoid", "state-out-of-range", "wrong-arity"],
+    ids=[
+        "unknown-monoid",
+        "state-out-of-range",
+        "wrong-arity",
+        "unevaluated-unknown-element",
+        "unevaluated-state-out-of-range",
+        "unevaluated-unknown-monoid",
+    ],
 )
 def test_cli_malformed_run_atoms(tmp_path, capsys, old, new):
     fot_file = str(tmp_path / "fig1.fot")
@@ -312,6 +324,20 @@ def test_cli_malformed_run_atoms(tmp_path, capsys, old, new):
         f.write(text.replace(old, new))
     code, _, err = run_cli(capsys, "check-equiv", data_path("fig1.2wt"), fot_file, "--max-len", "2")
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "type: formula\nformula: (and (letter a x) (pclass M e x))\n",
+        "type: fola\ninput: a b\noutput: a b\nstates: q\ninitial: q\nfinal: q\n"
+        "formula g: (visit Q 0 x)\nformula j: (true)\ntrans q g -> q / - j\n",
+    ],
+    ids=["formula", "fola"],
+)
+def test_parse_checks_atoms_against_monoids(text):
+    with pytest.raises(RegistryError):
+        parse_text(text)
 
 
 def test_cli_eval_formula(tmp_path, capsys):

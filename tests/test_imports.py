@@ -1,5 +1,7 @@
-"""Every top-level import of a library module is used by that module, and
-every top-level function or class of the library is referred to somewhere."""
+"""Every top-level import of a library module is used by that module, every
+top-level function or class of the library is referred to somewhere, and
+every optional parameter of a top-level library function is set by some
+call."""
 import ast
 import os
 
@@ -39,8 +41,8 @@ def test_no_unused_top_level_imports(module):
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def _python_files():
-    for top in ("src", "tests", "scripts"):
+def _python_files(tops=("src", "tests", "scripts")):
+    for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             yield from (os.path.join(folder, name) for name in sorted(files) if name.endswith(".py"))
 
@@ -83,3 +85,55 @@ def test_every_library_definition_is_referenced():
             sources[path] = f.read()
     defining = [os.path.join(ROOT, "src", "twofst", name) for name in MODULES + ["__init__.py"]]
     assert unreferenced_definitions(sources, defining) == []
+
+
+def unset_options(sources: dict, defining: list) -> list:
+    """Optional parameters of top-level functions of the ``defining`` sources
+    that no call in any source sets, by position or by keyword.  A call
+    matches by a plain name or an attribute name; a ``*args`` or
+    ``**kwargs`` argument sets every parameter."""
+    options = {}  # function name -> [(path, position or None, parameter)]
+    for path in defining:
+        for stmt in ast.parse(sources[path]).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found = [(path, i, a.arg) for i, a in enumerate(positional) if i >= first]
+            found += [(path, None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            options.setdefault(stmt.name, []).extend(found)
+    unset = {(path, name, param) for name, found in options.items() for (path, _, param) in found}
+    for source in sources.values():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in call.args)
+            spread |= any(k.arg is None for k in call.keywords)
+            keywords = {k.arg for k in call.keywords}
+            for (path, i, param) in options.get(name, ()):
+                if spread or param in keywords or (i is not None and i < len(call.args)):
+                    unset.discard((path, name, param))
+    return sorted(unset)
+
+
+def test_scan_flags_an_unset_option():
+    sources = {
+        "lib.py": (
+            "def f(a, b=1, *, c=2):\n    pass\n\n"
+            "def g(x=0, y=0):\n    pass\n\n"
+            "def h(z=0):\n    pass\n"
+        ),
+        "user.py": "import lib\n\nlib.f(1, 2)\nf(0, c=3)\ng(y=1)\nh(*args)\n",
+    }
+    assert unset_options(sources, ["lib.py"]) == [("lib.py", "g", "x")]
+
+
+def test_every_library_option_is_set():
+    sources = {}
+    for path in _python_files(("src", "tests", "scripts", "perfbench")):
+        with open(path) as f:
+            sources[path] = f.read()
+    defining = [os.path.join(ROOT, "src", "twofst", name) for name in MODULES + ["__init__.py"]]
+    assert unset_options(sources, defining) == []
