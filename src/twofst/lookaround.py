@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .words import (
+    LEFT_MARK,
+    RIGHT_MARK,
     Alphabet,
     Dfa,
     Word,
@@ -56,6 +58,10 @@ class SfLookAroundTransducer:
         for tr in self.transitions:
             if tr.move not in (-1, 0, 1):
                 raise ValueError(f"illegal move {tr.move!r}")
+            if tr.test.letter == LEFT_MARK and tr.move == -1:
+                raise ValueError("move of a test on the left endmarker must be 0 or +1")
+            if tr.test.letter == RIGHT_MARK and tr.move == 1:
+                raise ValueError("move of a test on the right endmarker must be -1 or 0")
         for tr in self.transitions:
             for d in (tr.test.prefix, tr.test.suffix):
                 report = dfa_is_counter_free(d)

@@ -217,7 +217,7 @@ def _mark_profile(t: TwoWayTransducer, mark: str) -> BehaviorProfile:
     """Profile of an endmarker cell; a run on it does not depend on the side
     it entered from, so both halves of the code are equal.  On ``$`` a stop
     in a final state reads as an exit to the right."""
-    index = {q: i for i, q in enumerate(t.states)}
+    index = t.table.index
     half = []
     for q in t.states:
         _, r, move = cell_run(t, mark, q)
@@ -272,17 +272,24 @@ def cell_run(t: TwoWayTransducer, symbol, q):
     reaches; the stop is reported as move +1, which no transition on ``$``
     can make.
     """
-    visited = {}  # insertion-ordered set
-    while q not in visited:
-        visited[q] = None
-        if symbol == RIGHT_MARK and q in t.finals:
-            return list(visited), q, 1
-        if (q, symbol) not in t.step:
-            break
-        q, move = t.step[(q, symbol)]
+    table = t.table
+    width, rows = table.width, table.rows
+    s = table.symbols[symbol]
+    slot = table.index[q] * width + s
+    visited = [q]
+    # the cell has |Q| configurations: one more 0-move repeats a state
+    for _ in range(len(t.states)):
+        row = rows[slot]
+        if row is None:  # blocked, or stopped on $ in a final state
+            if symbol == RIGHT_MARK and table.final[slot // width]:
+                return visited, visited[-1], 1
+            return visited, None, 0
+        nxt, move, _, r = row
         if move:
-            return list(visited), q, move
-    return list(visited), None, 0
+            return visited, r, move
+        visited.append(r)
+        slot = nxt + s
+    return list(dict.fromkeys(visited)), None, 0
 
 
 def marked_chain(m: TransitionMonoid, profiles) -> list:
@@ -349,7 +356,7 @@ def run_visits(m: TransitionMonoid, factors: tuple, start: tuple, cell: int) -> 
         segments = (LEFT_MARK, *factors, RIGHT_MARK)
         chain = [s.code if isinstance(s, BehaviorProfile) else m.morphism[s].code for s in segments]
         entries, _ = walk_chain(chain, len(order), start[0], 0, start[1])
-        index = {q: i for i, q in enumerate(order)}
+        index = t.table.index
         got = m._visits[key] = frozenset(
             index[q] for k, _, i in entries if k == cell for q in cell_run(t, segments[cell], order[i])[0]
         )

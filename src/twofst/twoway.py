@@ -5,11 +5,16 @@ run starts at position 0 in the initial state and accepts as soon as it
 reaches the right endmarker in a final state; the machine stops there even
 if a transition on ``$`` is defined, which keeps acceptance decidable
 without look-ahead.
+
+Runs step a dense integer table (``TwoWayTransducer.table``), built on first
+use; the ``step`` and ``out`` mappings are read-only, so it cannot go stale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from itertools import chain
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .words import (
     Alphabet,
@@ -25,6 +30,24 @@ class TwoWayError(ValueError):
     pass
 
 
+class StepTable(NamedTuple):
+    """A machine's transitions as one flat list of rows.
+
+    States are numbered in the order of ``states`` and tape symbols in the
+    order of the input alphabet, then ``^`` and ``$``.  The slot
+    ``state index * width + symbol index`` holds the row ``(next state index
+    * width, move, output word, next state)``, or None where a run cannot
+    step: there is no transition, or the state is final and the symbol is
+    ``$``, where a run stops.
+    """
+
+    width: int  # symbol count
+    symbols: dict  # tape symbol -> symbol index
+    index: dict  # state -> state index
+    rows: list
+    final: list  # state index -> finality
+
+
 @dataclass(frozen=True, eq=False)
 class TwoWayTransducer:
     states: tuple
@@ -32,15 +55,19 @@ class TwoWayTransducer:
     out_alphabet: Alphabet
     initial: object
     finals: frozenset
-    step: dict  # (state, symbol) -> (state, move)
-    out: dict  # (state, symbol) -> output word
+    step: Mapping  # (state, symbol) -> (state, move), read-only
+    out: Mapping  # (state, symbol) -> output word, read-only
+    _table: Optional[StepTable] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "step", MappingProxyType(dict(self.step)))
+        object.__setattr__(self, "out", MappingProxyType(dict(self.out)))
         if set(self.step) != set(self.out):
             raise TwoWayError("step and produce must share their domain")
         if self.initial not in self.states:
             raise TwoWayError("initial state missing from state set")
-        if not self.finals <= set(self.states):
+        states = set(self.states)
+        if not self.finals <= states:
             raise TwoWayError("final states must be a subset of states")
         for (q, a), (r, move) in self.step.items():
             if move not in (-1, 0, 1):
@@ -49,6 +76,31 @@ class TwoWayTransducer:
                 raise TwoWayError("move on left endmarker must be 0 or +1")
             if a == RIGHT_MARK and move == 1:
                 raise TwoWayError("move on right endmarker must be -1 or 0")
+            if q not in states or r not in states:
+                raise TwoWayError(f"transition ({q!r}, {a!r}) leaves the state set")
+            if a not in self.in_alphabet and a not in (LEFT_MARK, RIGHT_MARK):
+                raise TwoWayError(f"transition ({q!r}, {a!r}) reads a symbol outside the alphabet")
+
+    @property
+    def table(self) -> StepTable:
+        got = self._table
+        if got is None:
+            got = _step_table(self)
+            object.__setattr__(self, "_table", got)
+        return got
+
+
+def _step_table(t: TwoWayTransducer) -> StepTable:
+    symbols = dict(t.in_alphabet.index)
+    symbols[LEFT_MARK] = len(symbols)
+    symbols[RIGHT_MARK] = len(symbols)
+    width = len(symbols)
+    index = {q: i for i, q in enumerate(t.states)}
+    rows = [None] * (len(t.states) * width)
+    for (q, a), (r, move) in t.step.items():
+        if a != RIGHT_MARK or q not in t.finals:
+            rows[index[q] * width + symbols[a]] = (index[r] * width, move, t.out[(q, a)], r)
+    return StepTable(width, symbols, index, rows, [q in t.finals for q in t.states])
 
 
 def make_twoway(states, in_alphabet, out_alphabet, initial, finals, rules) -> TwoWayTransducer:
@@ -100,33 +152,49 @@ def tape_symbol(w: Word, pos: int):
 
 
 def simulate(t: TwoWayTransducer, w) -> SimResult:
-    """Run ``t`` on ``w``; loop detection by configuration repetition.
+    """Run ``t`` on ``w`` by stepping its table.
 
-    A deterministic run repeats a configuration within |Q|·(n+2) steps, so
-    ``seen`` alone ends every loop."""
-    w = t.in_alphabet.word(as_word(w))
-    last = len(w) + 1
-    q, pos = t.initial, 0
-    configs = [(q, pos)]
-    outputs = []
-    seen = {(q, pos)}
-    while True:
-        if pos == last and q in t.finals:
-            run = Run(w, tuple(configs), tuple(outputs), True)
-            return SimResult(tuple(s for o in outputs for s in o), run)
-        a = tape_symbol(w, pos)
-        if (q, a) not in t.step:
-            run = Run(w, tuple(configs), tuple(outputs), False)
-            reason = "rejected" if pos == last else "blocked"
-            return SimResult(None, run, reason)
-        outputs.append(t.out[(q, a)])
-        q, move = t.step[(q, a)]
+    A run over ``n`` letters has |Q|·(n+2) configurations, so a
+    deterministic run that takes that many steps has repeated one.  The
+    walk then stops and cuts the run back to the first repetition: a looping
+    run ends at its first repeated configuration."""
+    w = as_word(w)
+    table = t.table
+    width, rows = table.width, table.rows
+    try:
+        tape = [width - 2, *map(t.in_alphabet.index.__getitem__, w), width - 1]
+    except (KeyError, TypeError):
+        t.in_alphabet.word(w)  # raises SymbolNotInAlphabet for the first stray symbol
+        raise
+    q, pos = table.index[t.initial] * width, 0
+    configs, outputs = [(t.initial, 0)], []
+    add_config, add_output = configs.append, outputs.append
+    for _ in range(len(t.states) * (len(w) + 2)):
+        row = rows[q + tape[pos]]
+        if row is None:
+            break
+        q, move, out, state = row
         pos += move
-        configs.append((q, pos))
-        if (q, pos) in seen:
-            run = Run(w, tuple(configs), tuple(outputs), False)
-            return SimResult(None, run, "loop")
-        seen.add((q, pos))
+        add_output(out)
+        add_config((state, pos))
+    else:
+        return _cut_loop(w, configs, outputs)
+    last = len(w) + 1
+    if pos == last and table.final[q // width]:
+        run = Run(w, tuple(configs), tuple(outputs), True)
+        return SimResult(tuple(chain.from_iterable(outputs)), run)
+    run = Run(w, tuple(configs), tuple(outputs), False)
+    return SimResult(None, run, "rejected" if pos == last else "blocked")
+
+
+def _cut_loop(w: Word, configs: list, outputs: list) -> SimResult:
+    """The looping run that ends at the first repeated configuration."""
+    seen = set()
+    for j, c in enumerate(configs):
+        if c in seen:
+            break
+        seen.add(c)
+    return SimResult(None, Run(w, tuple(configs[: j + 1]), tuple(outputs[:j]), False), "loop")
 
 
 def trace_table(result: SimResult) -> str:
@@ -168,27 +236,24 @@ def behaviors(t: TwoWayTransducer, w):
     order = t.states
     if not w:
         return identity_profile(order)
-    index = {q: i for i, q in enumerate(order)}
-    n = len(order)
+    table = t.table
+    width, rows = table.width, table.rows
+    cells = [table.symbols[s] for s in w]
+    n, m = len(order), len(w)
     code = [-1] * (2 * n)
     for entry_right in (0, 1):
-        start_pos = len(w) - 1 if entry_right else 0
-        for i, q0 in enumerate(order):
-            q, pos = q0, start_pos
-            seen = set()
-            while 0 <= pos < len(w):
-                if (q, pos) in seen:
-                    q = None  # looping run
-                    break
-                seen.add((q, pos))
-                key = (q, w[pos])
-                if key not in t.step:
-                    q = None  # blocked run
-                    break
-                q, move = t.step[key]
+        for i in range(n):
+            q, pos = i * width, m - 1 if entry_right else 0
+            # more steps than the factor has configurations repeat one: a loop
+            for _ in range(n * m):
+                row = rows[q + cells[pos]]
+                if row is None:
+                    break  # blocked
+                q, move, _, _ = row
                 pos += move
-            if q is not None:
-                code[n * entry_right + i] = 2 * index[q] + (0 if pos < 0 else 1)
+                if not 0 <= pos < m:
+                    code[n * entry_right + i] = 2 * (q // width) + (pos >= 0)
+                    break
     return BehaviorProfile(order, tuple(code))
 
 

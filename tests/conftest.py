@@ -7,8 +7,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from twofst.machines import block_doubler, block_doubler_fot
-from twofst.twoway import tape_symbol
+from twofst.machines import AB, block_doubler, block_doubler_fot
+from twofst.twoway import make_twoway, tape_symbol
 from twofst.monoid import transition_monoid
 from twofst.logic import MonoidRegistry
 
@@ -53,6 +53,26 @@ def crossing_oracle(t, u, i, j, q, leftward=False):
         if leftward and prev == i and pos == i - 1:
             crossings.add(state)
     return crossings
+
+
+def _random_machine(rng, marked=False):
+    """2 to 5 states over {a, b}; each letter row is blocked, stays (0-move)
+    or moves either way, so runs block, bounce and loop.  ``marked`` adds
+    ``$`` rows that stay or move left and a second final state, so runs also
+    accept after a 0-move on ``$``, bounce off it and loop on it."""
+    states = tuple(range(rng.randint(2, 5)))
+    rules = {(q, "^"): (q, "", 1) for q in states}
+    for q in states:
+        for a in "ab":
+            if rng.random() < 0.8:
+                rules[(q, a)] = (rng.choice(states), "", rng.choice((-1, 0, 1, 1, -1)))
+    finals = {states[-1]}
+    if marked:
+        finals.add(rng.choice(states[:-1]))
+        for q in states:
+            if rng.random() < 0.8:
+                rules[(q, "$")] = (rng.choice(states), "", rng.choice((0, -1)))
+    return make_twoway(states, AB, AB, 0, finals, rules)
 
 
 def words_upto(n, min_len=0):

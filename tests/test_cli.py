@@ -326,6 +326,34 @@ def test_cli_malformed_run_atoms(tmp_path, capsys, old, new):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
+SFLA_LEAVING_THE_TAPE = """type: sfla
+input: a b
+output: a b
+states: q r
+initial: q
+final: r
+dfa L0:
+input: a b
+states: 0
+initial: 0
+final: 0
+0 a -> 0
+0 b -> 0
+end
+trans q (L0 ^ L0) -> r / b -1
+trans r (L0 a L0) -> r / a +1
+"""
+
+
+def test_cli_sfla_endmarker_test_leaving_the_tape(tmp_path, capsys):
+    f = tmp_path / "leave.sfla"
+    f.write_text(SFLA_LEAVING_THE_TAPE)
+    code, _, err = run_cli(capsys, "check-equiv", str(f), str(f), "--max-len", "2")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    f.write_text(SFLA_LEAVING_THE_TAPE.replace("/ b -1", "/ b 0"))
+    assert run_cli(capsys, "check-equiv", str(f), str(f), "--max-len", "2")[0] == 0
+
+
 @pytest.mark.parametrize(
     "text",
     [

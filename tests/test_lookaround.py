@@ -137,3 +137,14 @@ def test_fo_la_path_recorded(doubler_fot):
     res = simulate_fo_la(la, "aab")
     assert res.path[0] == (("init",), 0)
     assert res.path[-1][1] == len("aab") + 1
+
+
+def test_endmarker_tests_stay_on_the_tape():
+    # a ^ test that moves left (or a $ test that moves right) would leave the
+    # tape; sf_la_to_plain used to turn such a move into a 0-move
+    u = any_lang()
+    copy = SfTransition("r", SfTest(u, "a", u), "r", ("a",), 1)
+    for mark, move in (("^", -1), ("$", 1)):
+        bad = SfTransition("q", SfTest(u, mark, u), "r", ("b",), move)
+        with pytest.raises(ValueError, match="endmarker must be"):
+            SfLookAroundTransducer(("q", "r"), AB, AB, (bad, copy), "q", frozenset({"r"}))

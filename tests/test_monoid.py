@@ -7,6 +7,7 @@ from twofst.monoid import (
     BehaviorProfile,
     accepted_classes,
     accepts_from_class,
+    cell_run,
     class_language_dfa,
     class_of,
     glue,
@@ -19,7 +20,7 @@ from twofst.monoid import (
 from twofst.twoway import behaviors, make_twoway, pumped_context_path, simulate, tape_symbol
 from twofst.words import dfa_accepts
 
-from conftest import budget, crossing_oracle, words_upto
+from conftest import _random_machine, budget, crossing_oracle, words_upto
 
 PATTERNS = {
     "a": r"a+",
@@ -163,24 +164,22 @@ def _ref_glue(p, q):
     return BehaviorProfile.from_pairs(p.order, **parts), loops
 
 
-def _random_machine(rng, marked=False):
-    """2 to 5 states over {a, b}; each letter row is blocked, stays (0-move)
-    or moves either way, so runs block, bounce and loop.  ``marked`` adds
-    ``$`` rows that stay or move left and a second final state, so runs also
-    accept after a 0-move on ``$``, bounce off it and loop on it."""
-    states = tuple(range(rng.randint(2, 5)))
-    rules = {(q, "^"): (q, "", 1) for q in states}
-    for q in states:
-        for a in "ab":
-            if rng.random() < 0.8:
-                rules[(q, a)] = (rng.choice(states), "", rng.choice((-1, 0, 1, 1, -1)))
-    finals = {states[-1]}
-    if marked:
-        finals.add(rng.choice(states[:-1]))
-        for q in states:
-            if rng.random() < 0.8:
-                rules[(q, "$")] = (rng.choice(states), "", rng.choice((0, -1)))
-    return make_twoway(states, AB, AB, 0, finals, rules)
+def test_cell_run_chains_through_every_state():
+    # on a, 0-moves go 0 -> 1 -> 2 and 2 leaves: the longest chain a cell allows;
+    # on b, 0 leads into the 0-move loop 1 -> 2 -> 1, each state listed once;
+    # on $, the chain stops in the first final state it reaches
+    rules = {(q, "^"): (q, "", 1) for q in range(3)}
+    for q in range(2):
+        for a in "ab$":
+            rules[(q, a)] = (q + 1, "", 0)
+    rules[(2, "a")] = (0, "", 1)
+    rules[(2, "b")] = (1, "", 0)
+    rules[(2, "$")] = (0, "", -1)
+    t = make_twoway((0, 1, 2), AB, AB, 0, {2}, rules)
+    assert cell_run(t, "a", 0) == ([0, 1, 2], 0, 1)
+    assert cell_run(t, "b", 0) == ([0, 1, 2], None, 0)
+    assert cell_run(t, "$", 0) == ([0, 1, 2], 2, 1)
+    assert cell_run(t, "^", 1) == ([1], 1, 1)
 
 
 def test_glue_matches_walk_reference():

@@ -1,3 +1,6 @@
+import random
+from types import MappingProxyType
+
 import pytest
 
 from twofst.machines import (
@@ -8,7 +11,10 @@ from twofst.machines import (
     double_writer,
 )
 from twofst.twoway import (
+    Run,
+    SimResult,
     TwoWayError,
+    TwoWayTransducer,
     behaviors,
     context_path,
     is_normalized,
@@ -17,12 +23,13 @@ from twofst.twoway import (
     mirror,
     normalize,
     simulate,
+    tape_symbol,
     trace_table,
     trim,
 )
-from twofst.words import as_word, show_word
+from twofst.words import SymbolNotInAlphabet, as_word, show_word
 
-from conftest import words_upto
+from conftest import _random_machine, words_upto
 
 
 def test_running_example_output():
@@ -71,6 +78,124 @@ def test_endmarker_move_validation():
         make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "^"): ("s", "", -1)})
     with pytest.raises(TwoWayError):
         make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "$"): ("s", "", 1)})
+
+
+def test_rows_stay_in_the_machine():
+    with pytest.raises(TwoWayError, match="leaves the state set"):
+        make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "a"): ("t", "", 1)})
+    with pytest.raises(TwoWayError, match="outside the alphabet"):
+        make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "c"): ("s", "", 1)})
+
+
+def test_step_and_out_are_read_only(doubler):
+    assert isinstance(doubler.step, MappingProxyType) and isinstance(doubler.out, MappingProxyType)
+    with pytest.raises(TypeError):
+        doubler.step[(1, "a")] = (2, 1)
+    with pytest.raises(TypeError):
+        doubler.out[(1, "a")] = ("b",)
+    # the machine keeps its own copies: editing the caller's dicts changes nothing
+    step = {("s", "^"): ("s", 1), ("s", "a"): ("s", 1)}
+    out = {("s", "^"): (), ("s", "a"): ("a",)}
+    t = TwoWayTransducer(("s",), AB, AB, "s", frozenset({"s"}), step, out)
+    assert simulate(t, "aa").output == ("a", "a")
+    step[("s", "a")] = ("s", 0)
+    out[("s", "a")] = ("b",)
+    assert simulate(t, "aa").output == ("a", "a") and t.step[("s", "a")] == ("s", 1)
+
+
+def dict_simulate(t, w) -> SimResult:
+    """Reference ``simulate``: dict lookups per step and a set of the
+    configurations seen."""
+    w = t.in_alphabet.word(as_word(w))
+    last = len(w) + 1
+    q, pos = t.initial, 0
+    configs = [(q, pos)]
+    outputs = []
+    seen = {(q, pos)}
+    while True:
+        if pos == last and q in t.finals:
+            run = Run(w, tuple(configs), tuple(outputs), True)
+            return SimResult(tuple(s for o in outputs for s in o), run)
+        a = tape_symbol(w, pos)
+        if (q, a) not in t.step:
+            run = Run(w, tuple(configs), tuple(outputs), False)
+            reason = "rejected" if pos == last else "blocked"
+            return SimResult(None, run, reason)
+        outputs.append(t.out[(q, a)])
+        q, move = t.step[(q, a)]
+        pos += move
+        configs.append((q, pos))
+        if (q, pos) in seen:
+            run = Run(w, tuple(configs), tuple(outputs), False)
+            return SimResult(None, run, "loop")
+        seen.add((q, pos))
+
+
+def _with_outputs(rng, t):
+    """``t`` with every row producing a random word of 0 to 3 letters."""
+    rules = {
+        (q, a): (r, tuple(rng.choice("ab") for _ in range(rng.randint(0, 3))), move)
+        for (q, a), (r, move) in t.step.items()
+    }
+    return make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules)
+
+
+def sweeper(k):
+    """``k`` states (``k`` odd) that each sweep the whole tape once: even
+    states rightward, odd ones leftward, with a 0-move onto the next state
+    at each endmarker.  The accepting run visits every configuration."""
+    rules = {}
+    for q in range(k):
+        move = 1 if q % 2 == 0 else -1
+        start, turn = ("^", "$") if move == 1 else ("$", "^")
+        for a in ("a", "b", start):
+            rules[(q, a)] = (q, "", move)
+        if q < k - 1:
+            rules[(q, turn)] = (q + 1, "", 0)
+    return make_twoway(tuple(range(k)), AB, AB, 0, {k - 1}, rules)
+
+
+def test_simulate_matches_dict_reference():
+    rng = random.Random(7)
+    machines = [_random_machine(rng, marked=True) for _ in range(60)]
+    machines += [_with_outputs(rng, _random_machine(rng, marked=True)) for _ in range(8)]
+    machines += [sweeper(k) for k in (1, 3, 5)]
+    seen = dict.fromkeys(("accept", "blocked", "rejected", "0-move loop on $", "loop across cells"), 0)
+    for t in machines:
+        for w in words_upto(5):
+            got, want = simulate(t, w), dict_simulate(t, w)
+            assert type(got.run.configs) is tuple and type(got.run.outputs) is tuple
+            assert (got.output, got.reason) == (want.output, want.reason), (t.step, w)
+            assert got.run == want.run, (t.step, w)
+            configs = got.run.configs
+            if got.reason == "loop":
+                cycle = configs[configs.index(configs[-1]) :]
+                cells = {pos for _, pos in cycle}
+                if cells == {len(w) + 1}:
+                    seen["0-move loop on $"] += 1
+                elif len(cells) > 1:
+                    seen["loop across cells"] += 1
+            else:
+                seen[got.reason or "accept"] += 1
+    assert all(seen.values()), seen
+    assert any(len(o) > 1 for t in machines for o in t.out.values())
+
+
+def test_simulate_runs_up_to_the_step_bound():
+    # the sweeper's accepting run has exactly |Q|·(n+2) configurations, the
+    # most a run can have without repeating one
+    for k in (1, 3, 5):
+        t = sweeper(k)
+        for w in words_upto(4):
+            res = simulate(t, w)
+            assert res.run.accepted and len(res.run.configs) == k * (len(w) + 2), (k, w)
+            assert len(set(res.run.configs)) == len(res.run.configs)
+
+
+def test_simulate_rejects_stray_symbols(doubler):
+    for w in ("ac", "a^b", ["a", ["b"]]):
+        with pytest.raises(SymbolNotInAlphabet):
+            simulate(doubler, w)
 
 
 def test_behaviors_worked_example(doubler):
