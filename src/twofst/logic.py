@@ -14,8 +14,9 @@ finite Boolean combinations of class atoms and stay first-order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .words import (
     Alphabet,
@@ -47,6 +48,10 @@ class UnboundVariable(ValueError):
     pass
 
 
+class PositionOutOfRange(ValueError):
+    """A variable is assigned a position outside the evaluation context."""
+
+
 class MalformedClassAtom(ValueError):
     pass
 
@@ -65,6 +70,9 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class Formula:
+    # evaluation plan, built on first use from the children's plans
+    _plan: Optional["_Plan"] = field(default=None, init=False, repr=False, compare=False)
+
     def __and__(self, other):
         return conj([self, other])
 
@@ -233,28 +241,7 @@ def linear_graph_sentence() -> Formula:
 
 
 def free_vars(phi: Formula) -> frozenset:
-    if isinstance(phi, (TrueF,)):
-        return frozenset()
-    if isinstance(phi, Letter):
-        return frozenset({phi.var})
-    if isinstance(phi, Le):
-        return frozenset({phi.left, phi.right})
-    if isinstance(phi, FactorClass):
-        return frozenset({phi.left, phi.right})
-    if isinstance(phi, (PrefixClass, SuffixClass)):
-        return frozenset({phi.var})
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for a in phi.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(phi, Not):
-        return free_vars(phi.arg)
-    if isinstance(phi, (Exists, Forall)):
-        return free_vars(phi.body) - {phi.var}
-    if isinstance(phi, RunAtom):
-        return frozenset(phi.vars)
-    raise TypeError(f"not a formula: {phi!r}")
+    return _plan(phi).free
 
 
 def _all_vars(phi: Formula) -> frozenset:
@@ -412,14 +399,116 @@ def _run_truth(m: TransitionMonoid, phi: RunAtom, factors: tuple, segments: tupl
 # Evaluation
 
 
+class _Plan(NamedTuple):
+    """How to evaluate one formula node, built once from its children's plans."""
+
+    free: frozenset  # the node's free variables
+    names: tuple  # the same, sorted
+    run: Callable  # (session, sigma) -> truth under the assignment sigma
+
+
+def _plan(phi: Formula) -> _Plan:
+    got = getattr(phi, "_plan", None)
+    if got is None:
+        got = _build_plan(phi)
+        object.__setattr__(phi, "_plan", got)
+    return got
+
+
+def _memoized(free, compute) -> _Plan:
+    """``compute`` behind the session memo, keyed by ``compute`` itself (not
+    by ``run``, which would make ``run`` a reference cycle) and the values
+    of the node's free variables."""
+    names = tuple(sorted(free))
+    values = itemgetter(*names) if names else lambda sigma: ()
+
+    def run(s, sigma):
+        key = (compute, values(sigma))
+        memo = s._memo
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = compute(s, sigma)
+        return got
+
+    return _Plan(free, names, run)
+
+
+def _build_plan(phi: Formula) -> _Plan:
+    kind = type(phi)
+    if kind is TrueF:
+        return _Plan(frozenset(), (), lambda s, sigma: True)
+    if kind is Letter:
+        symbol, var = phi.symbol, phi.var
+        return _Plan(frozenset({var}), (var,), lambda s, sigma: s._tape[sigma[var]] == symbol)
+    if kind is Le:
+        left, right = phi.left, phi.right
+        names = tuple(sorted({left, right}))
+        return _Plan(frozenset(names), names, lambda s, sigma: sigma[left] <= sigma[right])
+    if kind is Not:
+        arg = _plan(phi.arg)
+        inner = arg.run
+        return arg._replace(run=lambda s, sigma: not inner(s, sigma))
+    if kind is And or kind is Or:
+        plans = [_plan(a) for a in phi.args]
+        runs = tuple(p.run for p in plans)
+        stop = kind is Or  # the value that decides the connective
+
+        def compute(s, sigma):
+            for r in runs:
+                if r(s, sigma) == stop:
+                    return stop
+            return not stop
+
+        return _memoized(frozenset().union(*(p.free for p in plans)), compute)
+    if kind is Exists or kind is Forall:
+        body, var, want = _plan(phi.body), phi.var, kind is Exists
+        inner = body.run
+
+        def compute(s, sigma):
+            sigma2 = dict(sigma)
+            for i in s.positions:
+                sigma2[var] = i
+                if inner(s, sigma2) == want:
+                    return want
+            return not want
+
+        return _memoized(body.free - {var}, compute)
+    if kind is FactorClass:
+        name, element, left, right = phi.monoid, phi.element, phi.left, phi.right
+
+        def compute(s, sigma):
+            i, j = sigma[left], sigma[right]
+            if i > j:
+                raise MalformedClassAtom(f"factor bounds {i} > {j}")
+            return s.factor_class(name, i, j) == s.registry.element(name, element)
+
+        return _memoized(frozenset({left, right}), compute)
+    if kind is PrefixClass or kind is SuffixClass:
+        name, element, var, prefix = phi.monoid, phi.element, phi.var, kind is PrefixClass
+
+        def compute(s, sigma):
+            i = sigma[var]
+            e = s.prefix_class(name, i) if prefix else s.suffix_class(name, i)
+            return s.registry.element(name, element) == e
+
+        return _memoized(frozenset({var}), compute)
+    if kind is RunAtom:
+        return _memoized(frozenset(phi.vars), lambda s, sigma: s._run(phi, sigma))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 class EvalSession:
     """Reusable evaluator for one word.
 
-    Caches, per monoid, the classes of prefixes, suffixes and factors, and
-    the truth of every subformula under each restriction of the assignment
-    to its free variables.  Formula nodes are memoized by identity, so
-    sharing subtrees across formulas (as the generated transductions do)
-    pays off.
+    Every formula node carries an evaluation plan, built once from its
+    children's plans and kept on the node: its free variables and a function
+    that calls the children's functions directly.  The session holds what
+    depends on the word: per monoid, the classes of prefixes, suffixes and
+    factors, and one memo for all formulas it evaluates.  The memo records
+    the truth of each connective, quantifier, class atom and run atom under
+    each assignment of its free variables; letter and order atoms and
+    negations are recomputed, as that is cheaper.  Formulas that share
+    subterms (as the generated transductions do) share those entries.
     """
 
     def __init__(self, w, registry: Optional[MonoidRegistry] = None, marked: bool = False):
@@ -428,19 +517,11 @@ class EvalSession:
         self.registry = registry
         self.marked = marked
         self.positions = range(0, self.n + 2) if marked else range(1, self.n + 1)
+        self._tape = (LEFT_MARK,) + self.word + (RIGHT_MARK,)  # symbol at each position
         self._prefix: dict = {}
         self._suffix: dict = {}
         self._factor: dict = {}
         self._memo: dict = {}
-        self._fvars: dict = {}
-
-    def symbol_at(self, i: int):
-        if self.marked:
-            if i == 0:
-                return LEFT_MARK
-            if i == self.n + 1:
-                return RIGHT_MARK
-        return self.word[i - 1]
 
     def _mono(self, name):
         if self.registry is None:
@@ -452,12 +533,12 @@ class EvalSession:
         m = _run_monoid(self.registry, phi)
         name = phi.monoid
         cuts = sorted({sigma[v] for v in phi.vars})
-        if any(self.symbol_at(c) in (LEFT_MARK, RIGHT_MARK) for c in cuts):
+        if any(self._tape[c] in (LEFT_MARK, RIGHT_MARK) for c in cuts):
             return False
         factors = [self.prefix_class(name, cuts[0] if cuts else self.n + 1)]
         for c, d in zip(cuts, cuts[1:] + [None]):
             gap = self.suffix_class(name, c) if d is None else self.factor_class(name, c + 1, d - 1)
-            factors += [self.symbol_at(c), gap]
+            factors += [self._tape[c], gap]
         segments = tuple(2 + 2 * cuts.index(sigma[v]) for v in phi.vars)
         return _run_truth(m, phi, tuple(factors), segments)
 
@@ -496,64 +577,17 @@ class EvalSession:
             self._factor[key] = e
         return self._factor[key]
 
-    def _free(self, phi: Formula):
-        got = self._fvars.get(id(phi))
-        if got is None:
-            got = tuple(sorted(free_vars(phi)))
-            self._fvars[id(phi)] = (got, phi)  # keep phi alive for id stability
-        else:
-            got = got[0]
-        return got
-
     def eval(self, phi: Formula, assignment: Optional[dict] = None) -> bool:
-        sigma = assignment or {}
-        return self._eval(phi, sigma)
-
-    def _eval(self, phi: Formula, sigma: dict) -> bool:
-        fv = self._free(phi)
-        key = (id(phi),) + tuple(sigma[v] for v in fv)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._compute(phi, sigma)
-            self._memo[key] = got
-        return got
-
-    def _compute(self, phi: Formula, sigma: dict) -> bool:
-        if isinstance(phi, TrueF):
-            return True
-        if isinstance(phi, Letter):
-            return self.symbol_at(sigma[phi.var]) == phi.symbol
-        if isinstance(phi, Le):
-            return sigma[phi.left] <= sigma[phi.right]
-        if isinstance(phi, FactorClass):
-            i, j = sigma[phi.left], sigma[phi.right]
-            if i > j:
-                raise MalformedClassAtom(f"factor bounds {i} > {j}")
-            e = self.factor_class(phi.monoid, i, j)
-            return self.registry.element(phi.monoid, phi.element) == e
-        if isinstance(phi, PrefixClass):
-            e = self.prefix_class(phi.monoid, sigma[phi.var])
-            return self.registry.element(phi.monoid, phi.element) == e
-        if isinstance(phi, SuffixClass):
-            e = self.suffix_class(phi.monoid, sigma[phi.var])
-            return self.registry.element(phi.monoid, phi.element) == e
-        if isinstance(phi, And):
-            return all(self._eval(a, sigma) for a in phi.args)
-        if isinstance(phi, Or):
-            return any(self._eval(a, sigma) for a in phi.args)
-        if isinstance(phi, Not):
-            return not self._eval(phi.arg, sigma)
-        if isinstance(phi, (Exists, Forall)):
-            want = isinstance(phi, Exists)
-            sigma2 = dict(sigma)
-            for i in self.positions:
-                sigma2[phi.var] = i
-                if self._eval(phi.body, sigma2) == want:
-                    return want
-            return not want
-        if isinstance(phi, RunAtom):
-            return self._run(phi, sigma)
-        raise TypeError(f"not a formula: {phi!r}")
+        """Truth of ``phi`` when each of its free variables sits at the
+        position ``assignment`` gives it."""
+        plan, sigma = _plan(phi), assignment or {}
+        for v in plan.names:
+            if v not in sigma:
+                raise UnboundVariable(f"unbound variables: {sorted(plan.free - set(sigma))}")
+            if sigma[v] not in self.positions:
+                lo, hi = self.positions.start, self.positions.stop - 1
+                raise PositionOutOfRange(f"{v}={sigma[v]!r} is outside the positions {lo}..{hi}")
+        return plan.run(self, sigma)
 
 
 def eval_formula(
@@ -564,11 +598,7 @@ def eval_formula(
     marked: bool = False,
 ) -> bool:
     """Standard FO semantics; quantifiers over the context's position range."""
-    sigma = dict(assignment or {})
-    missing = free_vars(phi) - set(sigma)
-    if missing:
-        raise UnboundVariable(f"unbound variables: {sorted(missing)}")
-    return EvalSession(w, registry, marked).eval(phi, sigma)
+    return EvalSession(w, registry, marked).eval(phi, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,24 @@ def test_cli_eval_formula(tmp_path, capsys):
     assert code == 1 and out.strip() == "false"
 
 
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_cli_eval_formula_checks_the_assignment(tmp_path, capsys, marked):
+    # positions of "ab" are 1..2, or 0..3 when marked
+    f = tmp_path / "formula.fml"
+    f.write_text("type: formula\nformula: (letter b x)\n")
+    base = ["eval-formula", str(f), "--input", "ab"] + (["--marked"] if marked else [])
+    first, last = (0, 3) if marked else (1, 2)
+    for assign in ([], ["--assign", f"x={first - 1}"], ["--assign", f"x={last + 1}"],
+                   ["--assign", "x=9"], ["--assign", "y=1"]):
+        code, out, err = run_cli(capsys, *base, *assign)
+        assert code == 2 and out == "", assign
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
+    code, out, _ = run_cli(capsys, *base, "--assign", "x=2")
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = run_cli(capsys, *base, "--assign", f"x={first}")
+    assert code == 1 and out.strip() == "false"
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.2wt"
     bad.write_text("type: 2wt\ninput: a b\n")

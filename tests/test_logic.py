@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+from twofst.cli import parse
 from twofst.machines import AB, block_doubler, block_doubler_fot, parity_twoway
 from twofst.logic import (
+    And,
     EvalSession,
     Exists,
     FactorClass,
@@ -15,6 +17,8 @@ from twofst.logic import (
     MalformedClassAtom,
     MonoidRegistry,
     Not,
+    Or,
+    PositionOutOfRange,
     PrefixClass,
     RegistryError,
     RunAtom,
@@ -36,7 +40,7 @@ from twofst.logic import (
 from twofst.monoid import class_of, transition_monoid
 from twofst.words import dfa_accepts, dfa_is_counter_free
 
-from conftest import random_formula, words_upto
+from conftest import data_path, random_formula, words_upto
 
 
 def order_12():
@@ -58,10 +62,36 @@ def test_worked_order_formula_values():
 def test_eval_errors():
     with pytest.raises(UnboundVariable):
         eval_formula(Letter("a", "x"), "ab", {})
+    with pytest.raises(UnboundVariable):
+        eval_formula(Exists("y", Le("x", "y")), "ab", {"y": 1})
     reg = MonoidRegistry()
     reg.register("M", transition_monoid(block_doubler()))
     with pytest.raises(MalformedClassAtom):
         eval_formula(FactorClass("M", "a", "x", "y"), "ab", {"x": 2, "y": 1}, reg)
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_eval_checks_the_assignment(marked):
+    # positions are 1..n, or 0..n+1 when marked; anything else is an error,
+    # not a read of some other cell
+    w = "ab"
+    first, last = (0, 3) if marked else (1, 2)
+    for phi in [Letter("b", "x"), Le("y", "x"), Exists("y", Le("x", "y"))]:
+        session = EvalSession(w, marked=marked)
+        for bad in (first - 1, last + 1, 9, "1"):
+            with pytest.raises(PositionOutOfRange):
+                session.eval(phi, {"x": bad, "y": first})
+            with pytest.raises(PositionOutOfRange):
+                eval_formula(phi, w, {"x": bad, "y": first}, marked=marked)
+        with pytest.raises(UnboundVariable):
+            session.eval(phi, {"z": first})
+        for i in session.positions:
+            session.eval(phi, {"x": i, "y": first})
+    assert not eval_formula(Letter("b", "x"), w, {"x": first}, marked=marked)
+    assert eval_formula(Letter("b", "x"), w, {"x": 2, "y": 99}, marked=marked)  # y is not free
+    with pytest.raises(PositionOutOfRange):
+        eval_formula(Letter("a", "x"), "", {"x": 1})
+    assert eval_formula(TrueF(), "", {"x": 99})
 
 
 def test_empty_word_quantifiers():
@@ -283,3 +313,135 @@ def test_run_atoms_compile_as_they_evaluate(registry, marked):
                 sigma = dict(zip(scope, cells))
                 want = dfa_accepts(d, mark_word(w, sigma, scope, marked))
                 assert session.eval(phi, sigma) == want, (show_formula(phi), scope, w, cells)
+
+
+def _run_cells(t, w, state, pos):
+    """Configurations of the run of ``t`` on ``^ w $`` from ``(state, pos)``,
+    stepped one transition at a time until it stops or repeats."""
+    tape = ("^",) + tuple(w) + ("$",)
+    seen = set()
+    while (state, pos) not in seen:
+        seen.add((state, pos))
+        if tape[pos] == "$" and state in t.finals or (state, tape[pos]) not in t.step:
+            break
+        state, move = t.step[(state, tape[pos])]
+        pos += move
+    return seen
+
+
+def naive_eval(phi, w, sigma, marked, machine=None):
+    """Plain recursive FO semantics, with no memo and no shared state; run
+    atoms step ``machine``, the machine of their monoid."""
+    positions = range(0, len(w) + 2) if marked else range(1, len(w) + 1)
+    if isinstance(phi, TrueF):
+        return True
+    if isinstance(phi, Letter):
+        return (("^",) + tuple(w) + ("$",))[sigma[phi.var]] == phi.symbol
+    if isinstance(phi, Le):
+        return sigma[phi.left] <= sigma[phi.right]
+    if isinstance(phi, Not):
+        return not naive_eval(phi.arg, w, sigma, marked, machine)
+    if isinstance(phi, And):
+        return all(naive_eval(a, w, sigma, marked, machine) for a in phi.args)
+    if isinstance(phi, Or):
+        return any(naive_eval(a, w, sigma, marked, machine) for a in phi.args)
+    if isinstance(phi, (Exists, Forall)):
+        hits = (naive_eval(phi.body, w, {**sigma, phi.var: i}, marked, machine) for i in positions)
+        return any(hits) if isinstance(phi, Exists) else all(hits)
+    if isinstance(phi, RunAtom):
+        cells = [sigma[v] for v in phi.vars]
+        if any(c in (0, len(w) + 1) for c in cells):
+            return False
+        t = machine
+        if phi.kind == "visit":
+            return (t.states[phi.states[0]], cells[0]) in _run_cells(t, w, t.initial, 0)
+        start, goal = (t.states[i] for i in phi.states)
+        return (goal, cells[1]) in _run_cells(t, w, start, cells[0])
+    raise TypeError(phi)
+
+
+def naive_free(phi) -> set:
+    if isinstance(phi, (And, Or)):
+        return set().union(*map(naive_free, phi.args))
+    if isinstance(phi, Not):
+        return naive_free(phi.arg)
+    if isinstance(phi, (Exists, Forall)):
+        return naive_free(phi.body) - {phi.var}
+    if isinstance(phi, Letter):
+        return {phi.var}
+    if isinstance(phi, Le):
+        return {phi.left, phi.right}
+    if isinstance(phi, RunAtom):
+        return set(phi.vars)
+    assert isinstance(phi, TrueF), phi
+    return set()
+
+
+def shared_formulas(rng, leaves, count, cap=60):
+    """``count`` random formulas over ``leaves``, each built from two earlier
+    members of the pool, so later formulas share subterms; quantifiers bind
+    x, y or z, shadowing free occurrences.  A formula is kept only when its
+    tree unfolding, with quantifiers over six positions, is at most ``cap``
+    atoms, so that the naive evaluator stays fast."""
+    pool = [(phi, 1) for phi in leaves]
+    while len(pool) < len(leaves) + count:
+        kind = rng.choice(["and", "or", "not", "exists", "forall"])
+        (a, ca), (b, cb) = rng.choice(pool), rng.choice(pool)
+        if kind in ("and", "or"):
+            new = ((And if kind == "and" else Or)((a, b)), ca + cb)
+        elif kind == "not":
+            new = (Not(a), ca)
+        else:
+            new = ((Exists if kind == "exists" else Forall)(rng.choice("xyz"), a), 6 * ca)
+        if new[1] <= cap:
+            pool.append(new)
+    return [phi for phi, _ in pool]
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_session_matches_naive_semantics(marked):
+    # one session per word evaluates every formula of a shared pool under
+    # every assignment of its free variables, against the naive evaluator;
+    # the largest formulas go first, so their subformulas are not yet memoized
+    fig1 = parse(data_path("fig1.2wt")).value
+    registry = MonoidRegistry()
+    registry.register("N", transition_monoid(fig1))
+    leaves = [TrueF()]
+    leaves += [Letter(a, v) for a in ("a", "b", "^", "$") for v in "xyz"]
+    leaves += [Le(u, v) for u in "xyz" for v in "xyz"]
+    leaves += [RunAtom("N", "visit", (i,), (v,)) for i in range(3) for v in "xy"]
+    leaves += [RunAtom("N", "reach", (i, j), vs) for i, j, vs in
+               [(0, 1, ("x", "y")), (1, 2, ("y", "x")), (2, 0, ("x", "y")), (0, 0, ("x", "x"))]]
+    formulas = shared_formulas(random.Random(17), leaves, 120)[::-1]
+    for phi in formulas:
+        assert free_vars(phi) == naive_free(phi), show_formula(phi)
+    checked = 0
+    for w in words_upto(4):
+        session = EvalSession(w, registry, marked)
+        for phi in formulas:
+            scope = sorted(free_vars(phi))
+            for cells in product(session.positions, repeat=len(scope)):
+                sigma = dict(zip(scope, cells))
+                want = naive_eval(phi, w, sigma, marked, fig1)
+                assert session.eval(phi, sigma) == want, (show_formula(phi), w, sigma)
+                assert sigma == dict(zip(scope, cells))
+                checked += 1
+    assert checked > 20000
+
+
+def test_shared_dag_stays_polynomial():
+    # f_{k+1} = (f_k and x <= y) or (f_k and a(x)) = f_k and (x <= y or a(x));
+    # the tree unfolding of f_30 has 2^30 leaves, the DAG 3 * 30 + 3 nodes
+    le, letter = Le("x", "y"), Letter("a", "x")
+    f = Letter("b", "y")
+    for _ in range(30):
+        f = Or((And((f, le)), And((f, letter))))
+    assert free_vars(f) == {"x", "y"}
+    nodes = 3 * 30 + 3
+    w = "abaab"
+    session = EvalSession(w)
+    n = len(session.positions)
+    for x, y in product(session.positions, repeat=2):
+        want = w[y - 1] == "b" and (x <= y or w[x - 1] == "a")
+        assert session.eval(f, {"x": x, "y": y}) == want, (x, y)
+    assert len(session._memo) <= nodes * n * n
