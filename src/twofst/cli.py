@@ -4,6 +4,7 @@ Artifact files are line oriented with ``#`` comments.  Every file opens with
 ``type:`` and the alphabet headers; machines list states, the initial state
 and finals, then one transition per line.  Transductions and look-around
 machines may embed named monoid or DFA blocks so files stay self-contained.
+``KINDS`` says, for each artifact kind, how it is read, written and run.
 """
 from __future__ import annotations
 
@@ -11,16 +12,18 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .words import (
     Alphabet,
+    AlphabetError,
     Dfa,
     LEFT_MARK,
     RIGHT_MARK,
     SequentialTransducer,
     as_word,
     dfa_table,
+    make_dfa,
     make_seq,
     parse_symbol,
     power_cycle,
@@ -45,7 +48,6 @@ from .monoid import (
 from .logic import (
     EvalSession,
     Formula,
-    FormulaSyntaxError,
     MonoidRegistry,
     check_atoms,
     parse_formula,
@@ -77,7 +79,7 @@ class ArtifactSemanticError(ValueError):
 
 @dataclass
 class Artifact:
-    kind: str  # 2wt | seq | dfa | fot | formula | sfla | fola | monoid-dump
+    kind: str  # a key of KINDS
     value: object
     registry: MonoidRegistry
     name: str = ""
@@ -107,18 +109,32 @@ class _Lines:
         return row
 
 
-def _header(lines: _Lines, key: str) -> str:
+def _header(lines: _Lines, key: str, read=str.strip):
+    """The text of the ``key:`` line that must come next, as ``read`` takes it."""
     n, line = lines.next()
     if not line.startswith(key + ":"):
         raise ArtifactSyntaxError(f"expected '{key}:'", n)
-    return line[len(key) + 1 :].strip()
+    try:
+        return read(line[len(key) + 1 :])
+    except AlphabetError as e:
+        raise ArtifactSyntaxError(str(e), n) from None
 
 
-def _alphabet(text: str, n: int) -> Alphabet:
-    syms = tuple(parse_symbol(tok) for tok in text.split())
-    if not syms:
-        raise ArtifactSyntaxError("empty alphabet", n)
-    return Alphabet(syms)
+def _alphabet(text: str) -> Alphabet:
+    return Alphabet(tuple(parse_symbol(tok) for tok in text.split()))
+
+
+def _read_header(lines: _Lines, with_output: bool):
+    in_alpha = _header(lines, "input", _alphabet)
+    out_alpha = _header(lines, "output", _alphabet) if with_output else None
+    states = tuple(_header(lines, "states", str.split))
+    initial = _header(lines, "initial")
+    finals = set(_header(lines, "final", str.split))
+    if initial not in states:
+        raise ArtifactSemanticError(f"unknown initial state {initial!r}")
+    if not finals <= set(states):
+        raise ArtifactSemanticError("unknown final state")
+    return in_alpha, out_alpha, states, initial, finals
 
 
 def _parse_move(tok: str, n: int) -> int:
@@ -149,279 +165,183 @@ def _check_symbol(sym, alphabet: Alphabet, n: int, marks: bool):
     raise ArtifactSemanticError(f"symbol {show_symbol(sym)!r} not in alphabet (line {n})")
 
 
-def _parse_transition_lines(lines: _Lines, states, alphabet, marks: bool, with_move: bool):
+def _check_states(line: str, n: int, states: set, *used):
+    if not all(q in states for q in used):
+        raise ArtifactSemanticError(f"unknown state in {line!r} (line {n})")
+
+
+def _read_rules(lines: _Lines, states, alphabet: Alphabet, width: int) -> dict:
+    """The transition lines ``q a -> r`` that come next, each with ``width``
+    more tokens: none in a DFA, ``/ production`` in a sequential transducer
+    and ``/ production move`` in a two-way one."""
     rules = {}
-    state_set = set(states)
-    while lines.peek() is not None:
-        n, line = lines.peek()
+    states = set(states)
+    while lines.peek() is not None and "->" in lines.peek()[1].split():
+        n, line = lines.next()
         parts = line.split()
-        if "->" not in parts:
-            break
-        lines.next()
-        try:
-            arrow = parts.index("->")
-            src = parts[:arrow]
-            rest = parts[arrow + 1 :]
-            q = src[0]
-            sym = parse_symbol(src[1])
-            q2 = rest[0]
-            if "/" in rest:
-                slash = rest.index("/")
-                prod_tok = rest[slash + 1]
-                tail = rest[slash + 2 :]
-            else:
-                prod_tok = "-"
-                tail = rest[1:]
-        except (IndexError, ValueError):
+        if len(parts) != 4 + width or parts[2] != "->" or parts[4:5] not in ([], ["/"]):
             raise ArtifactSyntaxError(f"bad transition {line!r}", n)
-        if q not in state_set or q2 not in state_set:
-            raise ArtifactSemanticError(f"unknown state in {line!r} (line {n})")
-        _check_symbol(sym, alphabet, n, marks)
-        prod = _parse_prod(prod_tok)
-        if with_move:
-            if len(tail) != 1:
-                raise ArtifactSyntaxError(f"missing move in {line!r}", n)
-            move = _parse_move(tail[0], n)
-            rules[(q, sym)] = (q2, prod, move)
+        q, sym, _, r = parts[:4]
+        _check_states(line, n, states, q, r)
+        sym = parse_symbol(sym)
+        _check_symbol(sym, alphabet, n, marks=width == 3)
+        if (q, sym) in rules:
+            raise ArtifactSemanticError(f"repeated transition {line!r} (line {n})")
+        if width == 0:
+            rules[(q, sym)] = r
+        elif width == 2:
+            rules[(q, sym)] = (r, _parse_prod(parts[5]))
         else:
-            if tail:
-                raise ArtifactSyntaxError(f"trailing tokens in {line!r}", n)
-            rules[(q, sym)] = (q2, prod)
+            rules[(q, sym)] = (r, _parse_prod(parts[5]), _parse_move(parts[6], n))
     return rules
 
 
-def _parse_machine_header(lines: _Lines, with_output: bool):
-    n, _ = lines.peek()
-    in_alpha = _alphabet(_header(lines, "input"), n)
-    out_alpha = _alphabet(_header(lines, "output"), n) if with_output else None
-    states = tuple(_header(lines, "states").split())
-    initial = _header(lines, "initial")
-    finals = set(_header(lines, "final").split())
-    if initial not in states:
-        raise ArtifactSemanticError(f"unknown initial state {initial!r}")
-    if not finals <= set(states):
-        raise ArtifactSemanticError("unknown final state")
-    return in_alpha, out_alpha, states, initial, finals
-
-
-def _parse_2wt(lines: _Lines) -> TwoWayTransducer:
-    in_a, out_a, states, initial, finals = _parse_machine_header(lines, True)
-    rules = _parse_transition_lines(lines, states, in_a, marks=True, with_move=True)
+def _built(build, *args):
+    """``build(*args)``, with the value's own checks reported as file errors."""
     try:
-        return make_twoway(states, in_a, out_a, initial, finals, rules)
-    except Exception as e:
-        raise ArtifactSemanticError(str(e))
-
-
-def _parse_seq(lines: _Lines) -> SequentialTransducer:
-    in_a, out_a, states, initial, finals = _parse_machine_header(lines, True)
-    rules = _parse_transition_lines(lines, states, in_a, marks=False, with_move=False)
-    return make_seq(states, in_a, out_a, initial, finals, rules)
-
-
-def _parse_dfa(lines: _Lines) -> Dfa:
-    in_a, _, states, initial, finals = _parse_machine_header(lines, False)
-    rules = {}
-    while lines.peek() is not None:
-        n, line = lines.peek()
-        parts = line.split()
-        if "->" not in parts or line.startswith("end"):
-            break
-        lines.next()
-        if len(parts) != 4 or parts[2] != "->":
-            raise ArtifactSyntaxError(f"bad dfa transition {line!r}", n)
-        q, sym, _, q2 = parts
-        sym = parse_symbol(sym)
-        if q not in states or q2 not in states:
-            raise ArtifactSemanticError(f"unknown state in {line!r} (line {n})")
-        _check_symbol(sym, in_a, n, marks=False)
-        rules[(q, sym)] = q2
-    try:
-        return Dfa(states, in_a, initial, frozenset(finals), rules)
+        return build(*args)
     except ValueError as e:
-        raise ArtifactSemanticError(str(e))
+        raise ArtifactSemanticError(str(e)) from None
 
 
-def _parse_monoid_block(lines: _Lines, registry: MonoidRegistry, name: str):
-    machine = _parse_2wt(lines)
-    n, line = lines.next()
-    if line.strip() != "end":
-        raise ArtifactSyntaxError("expected 'end' after monoid block", n)
-    registry.register(name, transition_monoid(machine))
+def _read_2wt(lines: _Lines, registry: MonoidRegistry) -> TwoWayTransducer:
+    in_a, out_a, states, initial, finals = _read_header(lines, True)
+    rules = _read_rules(lines, states, in_a, 3)
+    return _built(make_twoway, states, in_a, out_a, initial, finals, rules)
 
 
-def _parse_fot(lines: _Lines, registry: MonoidRegistry) -> FoTransduction:
-    n0, _ = lines.peek()
-    in_a = _alphabet(_header(lines, "input"), n0)
-    out_a = _alphabet(_header(lines, "output"), n0)
-    copies = None
-    dom = None
-    pos = {}
-    order = {}
+def _read_seq(lines: _Lines, registry: MonoidRegistry) -> SequentialTransducer:
+    in_a, out_a, states, initial, finals = _read_header(lines, True)
+    rules = _read_rules(lines, states, in_a, 2)
+    return _built(make_seq, states, in_a, out_a, initial, finals, rules)
+
+
+def _read_dfa(lines: _Lines, registry: MonoidRegistry) -> Dfa:
+    in_a, _, states, initial, finals = _read_header(lines, False)
+    rules = _read_rules(lines, states, in_a, 0)
+    return _built(make_dfa, states, in_a, initial, finals, rules)
+
+
+# what a block of another file holds; ``end`` closes it
+_BLOCKS = {"monoid": _read_2wt, "dfa": _read_dfa}
+
+
+def _read_body(lines: _Lines, registry: MonoidRegistry, forms: dict) -> dict:
+    """The lines after a file's headers, by their first word.
+
+    A line's first word, up to a colon, must be a key of ``forms``.  When
+    ``forms[word]`` is None, the line is kept whole under its number.
+    Otherwise the line is ``word name...: text`` with ``forms[word]`` names,
+    kept under the tuple of names, once only.  ``text`` is a list of names
+    after ``copies`` and ``input``, a formula after any other word, and
+    empty after ``monoid`` and ``dfa``, which open a block; a monoid block is
+    registered in ``registry``.  Every formula is checked against the
+    file's monoids once the whole file is read."""
+    body = {word: {} for word in forms}
     while lines.peek() is not None:
         n, line = lines.next()
-        if line.startswith("monoid "):
-            name = line.split()[1].rstrip(":")
-            _parse_monoid_block(lines, registry, name)
-        elif line.startswith("copies:"):
-            copies = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("dom:"):
-            dom = parse_formula(line.split(":", 1)[1])
-        elif line.startswith("pos "):
-            head, f = line.split(":", 1)
-            _, copy, letter = head.split()
-            pos[(copy, parse_symbol(letter))] = parse_formula(f)
-        elif line.startswith("le "):
-            head, f = line.split(":", 1)
-            _, c1, c2 = head.split()
-            order[(c1, c2)] = parse_formula(f)
-        else:
+        word = line.split()[0].partition(":")[0]
+        if word not in forms:
             raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
-    if copies is None or dom is None:
-        raise ArtifactSyntaxError("fot file needs 'copies:' and 'dom:'")
-    for phi in (dom, *pos.values(), *order.values()):
-        check_atoms(phi, registry)
-    return FoTransduction(in_a, out_a, dom, copies, pos, order)
-
-
-def _parse_formula_file(lines: _Lines, registry: MonoidRegistry) -> Formula:
-    phi = None
-    while lines.peek() is not None:
-        n, line = lines.next()
-        if line.startswith("monoid "):
-            name = line.split()[1].rstrip(":")
-            _parse_monoid_block(lines, registry, name)
-        elif line.startswith("input:"):
+        if forms[word] is None:
+            body[word][n] = line
             continue
-        elif line.startswith("formula:"):
-            phi = parse_formula(line.split(":", 1)[1])
-        else:
-            raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
-    if phi is None:
-        raise ArtifactSyntaxError("formula file needs 'formula:'")
-    check_atoms(phi, registry)
-    return phi
-
-
-def _parse_sfla(lines: _Lines) -> SfLookAroundTransducer:
-    in_a, out_a, states, initial, finals = _parse_machine_header(lines, True)
-    dfas = {}
-    transitions = []
-    while lines.peek() is not None:
-        n, line = lines.next()
-        if line.startswith("dfa "):
-            name = line.split()[1].rstrip(":")
-            dfas[name] = _parse_dfa(lines)
-            n2, end = lines.next()
+        head, colon, text = line.partition(":")
+        names = tuple(head.split()[1:])
+        if not colon or len(names) != forms[word] or (word in _BLOCKS and text.strip()):
+            raise ArtifactSyntaxError(f"bad line {line!r}", n)
+        if names in body[word]:
+            raise ArtifactSemanticError(f"repeated entry {line!r} (line {n})")
+        if word in _BLOCKS:
+            value = _BLOCKS[word](lines, registry)
+            n, end = lines.next()
             if end.strip() != "end":
-                raise ArtifactSyntaxError("expected 'end' after dfa block", n2)
-        elif line.startswith("trans "):
-            parts = line.split()
-            try:
-                q = parts[1]
-                if not (parts[2].startswith("(") and parts[4].endswith(")")):
-                    raise ValueError
-                lp = parts[2][1:]
-                letter = parse_symbol(parts[3])
-                ls = parts[4][:-1]
-                arrow, q2, slash, prod, move = parts[5:10]
-                if arrow != "->" or slash != "/":
-                    raise ValueError
-            except (IndexError, ValueError):
-                raise ArtifactSyntaxError(f"bad sfla transition {line!r}", n)
-            if lp not in dfas or ls not in dfas:
-                raise ArtifactSemanticError(f"unknown dfa in {line!r} (line {n})")
-            transitions.append(
-                SfTransition(
-                    q,
-                    SfTest(dfas[lp], letter, dfas[ls]),
-                    q2,
-                    _parse_prod(prod),
-                    _parse_move(move, n),
-                )
-            )
+                raise ArtifactSyntaxError(f"expected 'end' after {word} block", n)
+            if word == "monoid":
+                registry.register(names[0], transition_monoid(value))
+        elif word in ("copies", "input"):
+            value = tuple(text.split())
         else:
-            raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
-    return SfLookAroundTransducer(
-        states, in_a, out_a, tuple(transitions), initial, frozenset(finals)
+            value = parse_formula(text)
+        body[word][names] = value
+    for entries in body.values():
+        for value in entries.values():
+            if isinstance(value, Formula):
+                check_atoms(value, registry)
+    return body
+
+
+def _read_fot(lines: _Lines, registry: MonoidRegistry) -> FoTransduction:
+    in_a = _header(lines, "input", _alphabet)
+    out_a = _header(lines, "output", _alphabet)
+    body = _read_body(lines, registry, {"monoid": 1, "copies": 0, "dom": 0, "pos": 2, "le": 2})
+    if () not in body["copies"] or () not in body["dom"]:
+        raise ArtifactSyntaxError("fot file needs 'copies:' and 'dom:'")
+    pos = {(c, parse_symbol(b)): f for (c, b), f in body["pos"].items()}
+    return _built(
+        FoTransduction, in_a, out_a, body["dom"][()], body["copies"][()], pos, body["le"]
     )
 
 
-def _parse_fola(lines: _Lines, registry: MonoidRegistry) -> FoLookAroundTransducer:
-    in_a, out_a, states, initial, finals = _parse_machine_header(lines, True)
-    formulas = {}
+def _read_formula(lines: _Lines, registry: MonoidRegistry) -> Formula:
+    body = _read_body(lines, registry, {"monoid": 1, "input": 0, "formula": 0})
+    if () not in body["formula"]:
+        raise ArtifactSyntaxError("formula file needs 'formula:'")
+    return body["formula"][()]
+
+
+def _read_sfla(lines: _Lines, registry: MonoidRegistry) -> SfLookAroundTransducer:
+    in_a, out_a, states, initial, finals = _read_header(lines, True)
+    body = _read_body(lines, registry, {"dfa": 1, "trans": None})
+    dfas = {name: d for (name,), d in body["dfa"].items()}
+    known = set(states)
     transitions = []
-    while lines.peek() is not None:
-        n, line = lines.next()
-        if line.startswith("monoid "):
-            name = line.split()[1].rstrip(":")
-            _parse_monoid_block(lines, registry, name)
-        elif line.startswith("formula "):
-            head, f = line.split(":", 1)
-            name = head.split()[1]
-            formulas[name] = parse_formula(f)
-        elif line.startswith("trans "):
-            parts = line.split()
-            try:
-                _, q, guard, arrow, q2, slash, prod, jump = parts
-                if arrow != "->" or slash != "/":
-                    raise ValueError
-            except ValueError:
-                raise ArtifactSyntaxError(f"bad fola transition {line!r}", n)
-            if guard not in formulas or jump not in formulas:
-                raise ArtifactSemanticError(f"unknown formula in {line!r} (line {n})")
-            transitions.append(
-                FoTransition(q, formulas[guard], q2, _parse_prod(prod), formulas[jump])
-            )
-        else:
-            raise ArtifactSyntaxError(f"unexpected line {line!r}", n)
-    for phi in formulas.values():
-        check_atoms(phi, registry)
-    return FoLookAroundTransducer(
-        states, in_a, out_a, tuple(transitions), initial, frozenset(finals)
+    for n, line in body["trans"].items():
+        try:
+            _, q, lp, letter, ls, arrow, q2, slash, prod, move = line.split()
+            if arrow != "->" or slash != "/" or lp[:1] != "(" or ls[-1:] != ")":
+                raise ValueError
+        except ValueError:
+            raise ArtifactSyntaxError(f"bad sfla transition {line!r}", n) from None
+        _check_states(line, n, known, q, q2)
+        if lp[1:] not in dfas or ls[:-1] not in dfas:
+            raise ArtifactSemanticError(f"unknown dfa in {line!r} (line {n})")
+        test = SfTest(dfas[lp[1:]], parse_symbol(letter), dfas[ls[:-1]])
+        transitions.append(SfTransition(q, test, q2, _parse_prod(prod), _parse_move(move, n)))
+    return _built(
+        SfLookAroundTransducer, states, in_a, out_a, tuple(transitions), initial, frozenset(finals)
     )
 
 
-@dataclass
-class MonoidDump:
-    header: tuple  # informational lines
-    rows: tuple  # element lines, verbatim
-
-
-def _parse_monoid_dump(lines: _Lines) -> MonoidDump:
-    header = []
-    rows = []
-    while lines.peek() is not None:
-        _, line = lines.next()
-        if line.startswith("element "):
-            rows.append(line)
-        else:
-            header.append(line)
-    return MonoidDump(tuple(header), tuple(rows))
+def _read_fola(lines: _Lines, registry: MonoidRegistry) -> FoLookAroundTransducer:
+    in_a, out_a, states, initial, finals = _read_header(lines, True)
+    body = _read_body(lines, registry, {"monoid": 1, "formula": 1, "trans": None})
+    formulas = {name: f for (name,), f in body["formula"].items()}
+    known = set(states)
+    transitions = []
+    for n, line in body["trans"].items():
+        try:
+            _, q, guard, arrow, q2, slash, prod, jump = line.split()
+            if arrow != "->" or slash != "/":
+                raise ValueError
+        except ValueError:
+            raise ArtifactSyntaxError(f"bad fola transition {line!r}", n) from None
+        _check_states(line, n, known, q, q2)
+        if guard not in formulas or jump not in formulas:
+            raise ArtifactSemanticError(f"unknown formula in {line!r} (line {n})")
+        transitions.append(
+            FoTransition(q, formulas[guard], q2, _parse_prod(prod), formulas[jump])
+        )
+    return _built(
+        FoLookAroundTransducer, states, in_a, out_a, tuple(transitions), initial, frozenset(finals)
+    )
 
 
 def parse_text(text: str, name: str = "") -> Artifact:
     lines = _Lines(text)
     kind = _header(lines, "type")
     registry = MonoidRegistry()
-    if kind == "2wt":
-        value = _parse_2wt(lines)
-    elif kind == "seq":
-        value = _parse_seq(lines)
-    elif kind == "dfa":
-        value = _parse_dfa(lines)
-    elif kind == "fot":
-        value = _parse_fot(lines, registry)
-    elif kind == "formula":
-        value = _parse_formula_file(lines, registry)
-    elif kind == "sfla":
-        value = _parse_sfla(lines)
-    elif kind == "fola":
-        value = _parse_fola(lines, registry)
-    elif kind == "monoid-dump":
-        value = _parse_monoid_dump(lines)
-    else:
-        raise ArtifactSyntaxError(f"unknown artifact type {kind!r}")
+    value = _kind(kind).read(lines, registry)
     if lines.peek() is not None:
         n, line = lines.peek()
         raise ArtifactSyntaxError(f"unexpected trailing line {line!r}", n)
@@ -458,16 +378,30 @@ def _alpha_line(alpha: Alphabet) -> str:
     return " ".join(show_symbol(s) for s in alpha)
 
 
+def _head(kind: str, t, names: Optional[dict] = None) -> list:
+    """The ``type:`` line and the alphabets of ``t`` and, given the names of
+    its states, its ``states``, ``initial`` and ``final`` lines."""
+    alphabets = (t.alphabet,) if kind == "dfa" else (t.in_alphabet, t.out_alphabet)
+    out = [f"type: {kind}"]
+    out += [f"{key}: {_alpha_line(a)}" for key, a in zip(("input", "output"), alphabets)]
+    if names is not None:
+        out += [
+            f"states: {' '.join(names[q] for q in t.states)}",
+            f"initial: {names[t.initial]}",
+            f"final: {' '.join(names[q] for q in t.states if q in t.finals)}",
+        ]
+    return out
+
+
+def _block(word: str, name: str, text: str) -> list:
+    """The file ``text`` as a block of another file: ``word name:`` in place
+    of its ``type:`` line, then ``end``."""
+    return [f"{word} {name}:", *text.splitlines()[1:], "end"]
+
+
 def serialize_machine(t: TwoWayTransducer) -> str:
     names = _state_names(t.states)
-    out = [
-        "type: 2wt",
-        f"input: {_alpha_line(t.in_alphabet)}",
-        f"output: {_alpha_line(t.out_alphabet)}",
-        f"states: {' '.join(names[q] for q in t.states)}",
-        f"initial: {names[t.initial]}",
-        f"final: {' '.join(names[q] for q in t.states if q in t.finals)}",
-    ]
+    out = _head("2wt", t, names)
     symbols = tuple(t.in_alphabet) + (LEFT_MARK, RIGHT_MARK)
     for q in t.states:
         for a in symbols:
@@ -481,14 +415,7 @@ def serialize_machine(t: TwoWayTransducer) -> str:
 
 def serialize_seq(t: SequentialTransducer) -> str:
     names = _state_names(t.states)
-    out = [
-        "type: seq",
-        f"input: {_alpha_line(t.in_alphabet)}",
-        f"output: {_alpha_line(t.out_alphabet)}",
-        f"states: {' '.join(names[q] for q in t.states)}",
-        f"initial: {names[t.initial]}",
-        f"final: {' '.join(names[q] for q in t.states if q in t.finals)}",
-    ]
+    out = _head("seq", t, names)
     for q in t.states:
         for a in t.in_alphabet:
             if (q, a) in t.step:
@@ -499,15 +426,9 @@ def serialize_seq(t: SequentialTransducer) -> str:
     return "\n".join(out) + "\n"
 
 
-def serialize_dfa(d: Dfa, as_block: bool = False) -> str:
+def serialize_dfa(d: Dfa) -> str:
     names = _state_names(d.states)
-    out = [] if as_block else ["type: dfa"]
-    out += [
-        f"input: {_alpha_line(d.alphabet)}",
-        f"states: {' '.join(names[q] for q in d.states)}",
-        f"initial: {names[d.initial]}",
-        f"final: {' '.join(names[q] for q in d.states if q in d.finals)}",
-    ]
+    out = _head("dfa", d, names)
     for q in d.states:
         for a in d.alphabet:
             out.append(f"{names[q]} {show_symbol(a)} -> {names[d.delta[(q, a)]]}")
@@ -517,20 +438,12 @@ def serialize_dfa(d: Dfa, as_block: bool = False) -> str:
 def _monoid_blocks(registry: MonoidRegistry) -> list:
     out = []
     for name in registry.names():
-        m = registry.monoid(name)
-        block = serialize_machine(m.machine).splitlines()[1:]  # drop 'type:'
-        out.append(f"monoid {name}:")
-        out.extend(block)
-        out.append("end")
+        out += _block("monoid", name, serialize_machine(registry.monoid(name).machine))
     return out
 
 
 def serialize_fot(T: FoTransduction, registry: Optional[MonoidRegistry] = None) -> str:
-    out = [
-        "type: fot",
-        f"input: {_alpha_line(T.in_alphabet)}",
-        f"output: {_alpha_line(T.out_alphabet)}",
-    ]
+    out = _head("fot", T)
     if registry is not None:
         out.extend(_monoid_blocks(registry))
     names = _state_names(T.copies)
@@ -543,12 +456,8 @@ def serialize_fot(T: FoTransduction, registry: Optional[MonoidRegistry] = None) 
     return "\n".join(out) + "\n"
 
 
-def serialize_formula(
-    phi: Formula, alphabet: Optional[Alphabet] = None, registry: Optional[MonoidRegistry] = None
-) -> str:
+def serialize_formula(phi: Formula, registry: Optional[MonoidRegistry] = None) -> str:
     out = ["type: formula"]
-    if alphabet is not None:
-        out.append(f"input: {_alpha_line(alphabet)}")
     if registry is not None:
         out.extend(_monoid_blocks(registry))
     out.append(f"formula: {show_formula(phi)}")
@@ -557,14 +466,7 @@ def serialize_formula(
 
 def serialize_sfla(t: SfLookAroundTransducer) -> str:
     names = _state_names(t.states)
-    out = [
-        "type: sfla",
-        f"input: {_alpha_line(t.in_alphabet)}",
-        f"output: {_alpha_line(t.out_alphabet)}",
-        f"states: {' '.join(names[q] for q in t.states)}",
-        f"initial: {names[t.initial]}",
-        f"final: {' '.join(names[q] for q in t.states if q in t.finals)}",
-    ]
+    out = _head("sfla", t, names)
     dfa_names = {}
 
     def dfa_name(d: Dfa) -> str:
@@ -582,23 +484,14 @@ def serialize_sfla(t: SfLookAroundTransducer) -> str:
             f" -> {names[tr.dst]} / {_show_prod(tr.out)} {mv}"
         )
     for name, d in dfa_names.values():
-        out.append(f"dfa {name}:")
-        out.extend(serialize_dfa(d, as_block=True).splitlines())
-        out.append("end")
+        out += _block("dfa", name, serialize_dfa(d))
     out.extend(body)
     return "\n".join(out) + "\n"
 
 
 def serialize_fola(t: FoLookAroundTransducer, registry: Optional[MonoidRegistry] = None) -> str:
     names = _state_names(t.states)
-    out = [
-        "type: fola",
-        f"input: {_alpha_line(t.in_alphabet)}",
-        f"output: {_alpha_line(t.out_alphabet)}",
-        f"states: {' '.join(names[q] for q in t.states)}",
-        f"initial: {names[t.initial]}",
-        f"final: {' '.join(names[q] for q in t.states if q in t.finals)}",
-    ]
+    out = _head("fola", t, names)
     if registry is not None:
         out.extend(_monoid_blocks(registry))
     formula_names = {}
@@ -621,6 +514,7 @@ def serialize_fola(t: FoLookAroundTransducer, registry: Optional[MonoidRegistry]
 
 
 def serialize_monoid(m: TransitionMonoid) -> str:
+    """A listing of the elements; ``twofst monoid`` writes it, no command reads it."""
     names = _state_names(m.machine.states)
     out = ["type: monoid-dump", f"elements: {len(m.elements)}"]
 
@@ -638,24 +532,53 @@ def serialize_monoid(m: TransitionMonoid) -> str:
 
 
 def serialize(a: Artifact) -> str:
-    if a.kind == "2wt":
-        return serialize_machine(a.value)
-    if a.kind == "seq":
-        return serialize_seq(a.value)
-    if a.kind == "dfa":
-        return serialize_dfa(a.value)
-    if a.kind == "fot":
-        return serialize_fot(a.value, a.registry)
-    if a.kind == "formula":
-        return serialize_formula(a.value, None, a.registry)
-    if a.kind == "sfla":
-        return serialize_sfla(a.value)
-    if a.kind == "fola":
-        return serialize_fola(a.value, a.registry)
-    if a.kind == "monoid-dump":
-        dump: MonoidDump = a.value
-        return "\n".join(("type: monoid-dump",) + dump.header + dump.rows) + "\n"
-    raise ValueError(f"cannot serialize artifact kind {a.kind!r}")
+    return _kind(a.kind).write(a)
+
+
+# ---------------------------------------------------------------------------
+# Artifact kinds
+
+
+class Kind(NamedTuple):
+    """How the files of one artifact kind are read and written, and how the
+    word function the kind denotes is run, if it denotes one."""
+
+    read: Callable  # (lines, registry) -> value
+    write: Callable  # artifact -> text
+    run: Optional[Callable]  # (artifact, word) -> output word, or None where undefined
+
+
+KINDS = {
+    "2wt": Kind(
+        _read_2wt,
+        lambda a: serialize_machine(a.value),
+        lambda a, w: simulate(a.value, w).output,
+    ),
+    "seq": Kind(_read_seq, lambda a: serialize_seq(a.value), lambda a, w: seq_run(a.value, w)),
+    "dfa": Kind(_read_dfa, lambda a: serialize_dfa(a.value), None),
+    "fot": Kind(
+        _read_fot,
+        lambda a: serialize_fot(a.value, a.registry),
+        lambda a, w: fot_eval(a.value, w, a.registry).output,
+    ),
+    "formula": Kind(_read_formula, lambda a: serialize_formula(a.value, a.registry), None),
+    "sfla": Kind(
+        _read_sfla,
+        lambda a: serialize_sfla(a.value),
+        lambda a, w: simulate_sf_la(a.value, w).output,
+    ),
+    "fola": Kind(
+        _read_fola,
+        lambda a: serialize_fola(a.value, a.registry),
+        lambda a, w: simulate_fo_la(a.value, w, a.registry).output,
+    ),
+}
+
+
+def _kind(name: str) -> Kind:
+    if name not in KINDS:
+        raise ArtifactSyntaxError(f"unknown artifact type {name!r}")
+    return KINDS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -693,21 +616,12 @@ class EquivalenceReport:
 
 
 def artifact_function(a: Artifact):
-    """The word function an artifact denotes, or None if it is not one."""
-    if a.kind == "2wt":
-        return a.value.in_alphabet, lambda w: simulate(a.value, w).output
-    if a.kind == "seq":
-        return a.value.in_alphabet, lambda w: seq_run(a.value, w)
-    if a.kind == "fot":
-        return a.value.in_alphabet, lambda w: fot_eval(a.value, w, a.registry).output
-    if a.kind == "sfla":
-        return a.value.in_alphabet, lambda w: simulate_sf_la(a.value, w).output
-    if a.kind == "fola":
-        return (
-            a.value.in_alphabet,
-            lambda w: simulate_fo_la(a.value, w, a.registry).output,
-        )
-    return None
+    """The input alphabet and word function of an artifact, or None if it
+    does not denote one."""
+    run = _kind(a.kind).run
+    if run is None:
+        return None
+    return a.value.in_alphabet, lambda w: run(a, w)
 
 
 def check_equiv(x: Artifact, y: Artifact, max_len: int, min_len: int = 1) -> EquivalenceReport:
@@ -751,6 +665,14 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _load(path: str, kind: str, command: str) -> Artifact:
+    """The artifact in ``path``, which must be of ``kind`` for ``command``."""
+    art = parse(path)
+    if art.kind != kind:
+        raise ArtifactSemanticError(f"{command} needs a {kind} file, not {art.kind}")
+    return art
+
+
 def cmd_simulate(args) -> int:
     art = parse(args.file)
     fn = artifact_function(art)
@@ -773,10 +695,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_behaviors(args) -> int:
-    art = parse(args.file)
-    if art.kind != "2wt":
-        raise ArtifactSemanticError("behaviors needs a two-way transducer")
-    t = art.value
+    t = _load(args.file, "2wt", "behaviors").value
     p = behaviors(t, t.in_alphabet.word(as_word(args.input)))
 
     def fmt(pairs):
@@ -796,10 +715,7 @@ def cmd_behaviors(args) -> int:
 
 
 def cmd_monoid(args) -> int:
-    art = parse(args.file)
-    if art.kind != "2wt":
-        raise ArtifactSemanticError("monoid needs a two-way transducer")
-    m = transition_monoid(art.value)
+    m = transition_monoid(_load(args.file, "2wt", "monoid").value)
     text = serialize_monoid(m)
     if args.json:
         rows = text.splitlines()
@@ -810,10 +726,7 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_aperiodic(args) -> int:
-    art = parse(args.file)
-    if art.kind != "2wt":
-        raise ArtifactSemanticError("aperiodic needs a two-way transducer")
-    m = transition_monoid(art.value)
+    m = transition_monoid(_load(args.file, "2wt", "aperiodic").value)
     rep = is_aperiodic(m)
     if rep.aperiodic:
         _emit(
@@ -832,23 +745,18 @@ def cmd_aperiodic(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    seq_art = parse(args.seq)
-    two_art = parse(args.twoway)
-    if seq_art.kind != "seq" or two_art.kind != "2wt":
-        raise ArtifactSemanticError("compose needs a seq file and a 2wt file")
-    b = normalize(two_art.value)
+    seq = _load(args.seq, "seq", "compose").value
+    b = normalize(_load(args.twoway, "2wt", "compose").value)
     if args.right:
-        c = translate.compose_right_seq_2w(seq_art.value, b)
+        c = translate.compose_right_seq_2w(seq, b)
     else:
-        c = translate.compose_seq_2w(seq_art.value, b)
+        c = translate.compose_seq_2w(seq, b)
     _write_out(args, serialize_machine(c))
     return 0
 
 
 def cmd_to_fot(args) -> int:
-    art = parse(args.file)
-    if art.kind != "2wt":
-        raise ArtifactSemanticError("to-fot needs a two-way transducer")
+    art = _load(args.file, "2wt", "to-fot")
     registry = MonoidRegistry()
     T = translate.twoway_to_fot(art.value, registry, args.monoid_name)
     _write_out(args, serialize_fot(T, registry))
@@ -856,9 +764,7 @@ def cmd_to_fot(args) -> int:
 
 
 def cmd_from_fot(args) -> int:
-    art = parse(args.file)
-    if art.kind != "fot":
-        raise ArtifactSemanticError("from-fot needs a transduction file")
+    art = _load(args.file, "fot", "from-fot")
     la = translate.fot_to_fo_lookaround(art.value)
     if args.stage == "fola":
         _write_out(args, serialize_fola(la, art.registry))
@@ -872,18 +778,12 @@ def cmd_from_fot(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    art = parse(args.file)
-    if art.kind != "2wt":
-        raise ArtifactSemanticError("normalize needs a two-way transducer")
-    _write_out(args, serialize_machine(normalize(art.value)))
+    _write_out(args, serialize_machine(normalize(_load(args.file, "2wt", "normalize").value)))
     return 0
 
 
 def cmd_mirror(args) -> int:
-    art = parse(args.file)
-    if art.kind != "2wt":
-        raise ArtifactSemanticError("mirror needs a two-way transducer")
-    _write_out(args, serialize_machine(mirror(art.value)))
+    _write_out(args, serialize_machine(mirror(_load(args.file, "2wt", "mirror").value)))
     return 0
 
 
@@ -896,9 +796,7 @@ def cmd_check_equiv(args) -> int:
 
 
 def cmd_eval_formula(args) -> int:
-    art = parse(args.file)
-    if art.kind != "formula":
-        raise ArtifactSemanticError("eval-formula needs a formula file")
+    art = _load(args.file, "formula", "eval-formula")
     assignment = {}
     if args.assign:
         for part in args.assign.split(","):
@@ -985,9 +883,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ArtifactSyntaxError, ArtifactSemanticError, FormulaSyntaxError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

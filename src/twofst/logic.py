@@ -23,6 +23,7 @@ from .words import (
     Dfa,
     LEFT_MARK,
     RIGHT_MARK,
+    SymbolNotInAlphabet,
     as_word,
     dense_dfa,
     dfa_intersect,
@@ -522,11 +523,17 @@ class EvalSession:
         self._suffix: dict = {}
         self._factor: dict = {}
         self._memo: dict = {}
+        self._read_by: set = set()  # names of monoids known to read every letter
 
     def _mono(self, name):
         if self.registry is None:
             raise RegistryError("class atom used without a monoid registry")
-        return self.registry.monoid(name)
+        m = self.registry.monoid(name)
+        if name not in self._read_by:
+            if not all(a in m.morphism for a in self.word):
+                raise SymbolNotInAlphabet(f"the word has a letter outside the alphabet of monoid {name!r}")
+            self._read_by.add(name)
+        return m
 
     def _run(self, phi: RunAtom, sigma: dict) -> bool:
         """A run atom, from the classes around its cuts and the cut letters."""
@@ -611,9 +618,6 @@ class _Compiler:
         self.registry = registry
         self.marked = marked
         self.cache: dict = {}
-
-    def carriers(self):
-        return tuple(self.base.symbols) + ((LEFT_MARK, RIGHT_MARK) if self.marked else ())
 
     def alphabet_for(self, nvars: int) -> Alphabet:
         return marked_alphabet(self.base, nvars, with_marks=self.marked)
@@ -948,7 +952,7 @@ def _tokenize(text: str):
 
 
 def _parse_sexpr(tokens, i):
-    if tokens[i] != "(":
+    if tokens[i : i + 1] != ["("]:
         raise FormulaSyntaxError(f"expected '(' at token {i}")
     i += 1
     items = []
@@ -973,14 +977,17 @@ def parse_formula(text: str) -> Formula:
 
 
 def _tree_to_formula(tree) -> Formula:
-    if not isinstance(tree, list) or not tree:
+    if not isinstance(tree, list) or not tree or not isinstance(tree[0], str):
         raise FormulaSyntaxError(f"bad node {tree!r}")
     head = tree[0]
     args = tree[1:]
 
-    def need(n):
+    def need(n, formulas=0):
+        """``n`` arguments: names, then ``formulas`` subformulas."""
         if len(args) != n:
             raise FormulaSyntaxError(f"{head} expects {n} arguments, got {len(args)}")
+        if not all(isinstance(a, str) for a in args[: n - formulas]):
+            raise FormulaSyntaxError(f"{head} expects a name where a formula is")
 
     if head == "true":
         need(0)
@@ -1006,7 +1013,7 @@ def _tree_to_formula(tree) -> Formula:
         k = _RUN_ARITY[head]
         need(1 + 2 * k)
         states = args[1 : 1 + k]
-        if not all(isinstance(a, str) for a in args) or not all(a.isdecimal() for a in states):
+        if not all(a.isdecimal() for a in states):
             raise FormulaSyntaxError(f"{head} takes a monoid, state indices and variables")
         return RunAtom(args[0], head, tuple(map(int, states)), tuple(args[1 + k :]))
     if head == "and":
@@ -1014,12 +1021,12 @@ def _tree_to_formula(tree) -> Formula:
     if head == "or":
         return disj([_tree_to_formula(a) for a in args])
     if head == "not":
-        need(1)
+        need(1, 1)
         return neg(_tree_to_formula(args[0]))
     if head == "exists":
-        need(2)
+        need(2, 1)
         return Exists(args[0], _tree_to_formula(args[1]))
     if head == "forall":
-        need(2)
+        need(2, 1)
         return Forall(args[0], _tree_to_formula(args[1]))
     raise FormulaSyntaxError(f"unknown operator {head!r}")

@@ -80,6 +80,8 @@ class TwoWayTransducer:
                 raise TwoWayError(f"transition ({q!r}, {a!r}) leaves the state set")
             if a not in self.in_alphabet and a not in (LEFT_MARK, RIGHT_MARK):
                 raise TwoWayError(f"transition ({q!r}, {a!r}) reads a symbol outside the alphabet")
+        if not all(b in self.out_alphabet for w in set(self.out.values()) for b in w):
+            raise TwoWayError("a transition writes a symbol outside the output alphabet")
 
     @property
     def table(self) -> StepTable:

@@ -572,6 +572,8 @@ class SequentialTransducer:
             raise ValueError("step and produce must share their domain")
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
+        if not all(b in self.out_alphabet for w in set(self.out.values()) for b in w):
+            raise ValueError("a transition writes a symbol outside the output alphabet")
 
 
 def make_seq(states, in_alphabet, out_alphabet, initial, finals, rules) -> SequentialTransducer:

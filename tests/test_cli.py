@@ -1,5 +1,8 @@
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,6 @@ from twofst.cli import (
     serialize,
     serialize_fot,
     serialize_machine,
-    serialize_monoid,
     serialize_seq,
     serialize_sfla,
     serialize_fola,
@@ -107,7 +109,9 @@ def artifact_fixtures():
     yield serialize_fot(fot, reg)
     yield serialize_sfla(sf)
     yield serialize_fola(la)
-    yield serialize_monoid(monoid)
+    order = MonoidRegistry()  # a formula over an embedded monoid
+    T = twoway_to_fot(doubler, order, "M")
+    yield serialize(Artifact("formula", T.order[T.copies[0], T.copies[-1]], order))
     from twofst.monoid import class_language_dfa, class_of
 
     yield serialize_dfa(class_language_dfa(monoid, class_of(monoid, "ab")))
@@ -115,9 +119,14 @@ def artifact_fixtures():
     yield serialize_fot(twoway_to_fot(doubler, atoms, "M"), atoms)
 
 
+@pytest.fixture(scope="module")
+def fixture_texts():
+    return list(artifact_fixtures())
+
+
 @pytest.mark.parametrize("idx", range(8))
-def test_serialization_round_trip(idx):
-    text = list(artifact_fixtures())[idx]
+def test_serialization_round_trip(fixture_texts, idx):
+    text = fixture_texts[idx]
     art = parse_text(text)
     again = serialize(art)
     assert again == text
@@ -180,13 +189,17 @@ def test_cli_aperiodic(capsys):
     assert code == 1 and "not aperiodic" in out and "witness [a]" in out
 
 
-def test_cli_monoid_dump(capsys):
+def test_cli_monoid_dump(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "monoid", data_path("fig1.2wt"))
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "type: monoid-dump"
     assert lines[1] == "elements: 9"
     assert sum(1 for l in lines if l.startswith("element ")) == 9
+    dump = tmp_path / "fig1.monoid"  # a dump is written, not read back
+    dump.write_text(out)
+    code, _, err = run_cli(capsys, "simulate", str(dump), "--input", "a")
+    assert code == 2 and err == "error: unknown artifact type 'monoid-dump'\n"
 
 
 def test_cli_check_equiv(capsys):
@@ -395,6 +408,77 @@ def test_cli_eval_formula_checks_the_assignment(tmp_path, capsys, marked):
     assert code == 1 and out.strip() == "false"
 
 
+SEQ = "type: seq\ninput: a b\noutput: a b\nstates: 0\ninitial: 0\nfinal: 0\n0 a -> 0 / a\n"
+DFA = "type: dfa\ninput: a b\nstates: 0\ninitial: 0\nfinal: 0\n0 a -> 0\n0 b -> 0\n"
+with open(data_path("example4.fot")) as _f:
+    FOT = _f.read()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (A_DOUBLER + "s a -> s / a +1\n", 10),
+        (SEQ + "0 a -> 0 / -\n", 8),
+        (DFA.replace("0 b -> 0\n", "0 a -> 0\n"), 7),
+        (FOT + "pos 1 a: (true)\n", 12),
+        (FOT.replace("le 1 1:", "le 2 1:"), 11),
+    ],
+    ids=["2wt", "seq", "dfa", "fot-pos", "fot-le"],
+)
+def test_repeated_entries_are_rejected(text, line):
+    with pytest.raises(ArtifactSemanticError, match=rf"repeated .*\(line {line}\)"):
+        parse_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("type: seq\n", "unexpected end of file"),
+        (A_DOUBLER.replace("output: a b", "output: a"), "outside the output alphabet"),
+        (SEQ.replace("output: a b", "output: b"), "outside the output alphabet"),
+        (FOT.replace("pos 2 b:", "pos 3 b:"), "no such copy or output letter"),
+        (FOT.replace("pos 2 b:", "pos 2 c:"), "no such copy or output letter"),
+        (FOT.replace("le 2 1:", "le 2 3:"), "no such copy"),
+        (FOT.replace("dom: (and", "dom:  # (and"), "expected '('"),
+        (FOT.replace("copies: 1 2", "copies: 1 2\ncopies: 1 2"), "repeated entry"),
+    ],
+    ids=["truncated", "2wt-output", "seq-output", "fot-pos-copy", "fot-pos-letter",
+         "fot-le-copy", "fot-empty-dom", "fot-copies-twice"],
+)
+def test_cli_rejects_malformed_files(tmp_path, capsys, text, message):
+    f = tmp_path / "malformed"
+    f.write_text(text)
+    code, _, err = run_cli(capsys, "check-equiv", str(f), str(f), "--max-len", "2")
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
+
+
+def test_cli_monoid_reads_the_input_alphabet(tmp_path, capsys):
+    fot_file = tmp_path / "fig1.fot"
+    assert run_cli(capsys, "to-fot", data_path("fig1.2wt"), "-o", str(fot_file))[0] == 0
+    fot_file.write_text(fot_file.read_text().replace("input: a b", "input: a c", 1))
+    code, _, err = run_cli(capsys, "simulate", str(fot_file), "--input", "ac")
+    assert code == 2 and "outside the alphabet of monoid 'M'" in err and err.count("\n") == 1
+
+
+def test_cli_eval_formula_empty(tmp_path, capsys):
+    f = tmp_path / "empty.fml"
+    f.write_text("type: formula\nformula:\n")
+    code, _, err = run_cli(capsys, "eval-formula", str(f), "--input", "a")
+    assert code == 2 and err.startswith("error: expected '('") and err.count("\n") == 1
+
+
+def test_python_m_twofst():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "twofst", "aperiodic", data_path("fig1.2wt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "aperiodic (9 elements, index 2)\n"
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.2wt"
     bad.write_text("type: 2wt\ninput: a b\n")
@@ -418,3 +502,56 @@ def test_cli_from_fot(tmp_path, capsys):
     from twofst.twoway import simulate
 
     assert show_word(simulate(art.value, "aababb").output) == "aabbab"
+
+
+def mutants(text: str, seed: int, count: int):
+    """``count`` seeded mutants of ``text``: a line dropped, duplicated or
+    swapped with another, a token deleted or replaced by another token of
+    the file, or the file cut short."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    tokens = text.split()
+    for _ in range(count):
+        op = rng.randrange(6)
+        if op == 5:
+            yield text[: rng.randrange(len(text))]
+            continue
+        new = list(lines)
+        i = rng.randrange(len(new))
+        if op == 0:
+            del new[i]
+        elif op == 1:
+            new.insert(i, new[i])
+        elif op == 2:
+            j = rng.randrange(len(new))
+            new[i], new[j] = new[j], new[i]
+        else:
+            words = new[i].split()
+            k = rng.randrange(len(words))
+            if op == 3:
+                del words[k]
+            else:
+                words[k] = rng.choice(tokens)
+            new[i] = " ".join(words)
+        yield "\n".join(new) + "\n"
+
+
+FUZZ_FILES = ["erase_b.seq", "example4.fot", "fig1.2wt", "identity.seq", "parity.2wt"]
+
+
+@pytest.mark.parametrize("source", [f"fixture{i}" for i in range(8)] + FUZZ_FILES)
+def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, fixture_texts, source):
+    if source.startswith("fixture"):
+        seed, text = int(source[7:]), fixture_texts[int(source[7:])]
+    else:
+        seed = 8 + FUZZ_FILES.index(source)
+        with open(data_path(source)) as f:
+            text = f.read()
+    f = str(tmp_path / "mutant")
+    for mutant in mutants(text, seed, 40):
+        with open(f, "w") as fh:
+            fh.write(mutant)
+        code, _, err = run_cli(capsys, "check-equiv", f, f, "--max-len", "2")
+        assert code in (0, 1, 2), mutant
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1, (mutant, err)

@@ -68,6 +68,20 @@ def test_label_conflict_detected():
         fot_eval(T, "ab")
 
 
+@pytest.mark.parametrize(
+    "pos, order",
+    [
+        ({(2, "a"): TrueF()}, {(1, 1): Le("x", "y")}),  # no copy 2
+        ({(1, "c"): TrueF()}, {(1, 1): Le("x", "y")}),  # no output letter c
+        ({(1, "a"): TrueF()}, {(1, 2): Le("x", "y")}),  # no copy 2
+    ],
+    ids=["pos-copy", "pos-letter", "le-copy"],
+)
+def test_formulas_name_declared_copies_and_letters(pos, order):
+    with pytest.raises(ValueError, match="no such copy"):
+        FoTransduction(AB, AB, linear_graph_sentence(), (1,), pos, order)
+
+
 def test_non_total_order_is_undefined_not_a_crash():
     # both order formulas false: two nodes are incomparable
     T = FoTransduction(

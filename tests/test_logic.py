@@ -262,6 +262,12 @@ def test_run_atom_syntax_errors(text):
         parse_formula(text)
 
 
+@pytest.mark.parametrize("text", ["", "   ", "(le x (true))", "((true))", "(exists (x) (true))"])
+def test_formula_syntax_errors(text):
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula(text)
+
+
 def test_run_atom_registry_errors(registry):
     with pytest.raises(RegistryError):
         eval_formula(parse_formula("(accept N)"), "ab", {}, registry)

@@ -27,7 +27,7 @@ from twofst.twoway import (
     trace_table,
     trim,
 )
-from twofst.words import SymbolNotInAlphabet, as_word, show_word
+from twofst.words import SymbolNotInAlphabet, alphabet, as_word, show_word
 
 from conftest import _random_machine, words_upto
 
@@ -85,6 +85,8 @@ def test_rows_stay_in_the_machine():
         make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "a"): ("t", "", 1)})
     with pytest.raises(TwoWayError, match="outside the alphabet"):
         make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "c"): ("s", "", 1)})
+    with pytest.raises(TwoWayError, match="outside the output alphabet"):
+        make_twoway(("s",), AB, alphabet("a"), "s", {"s"}, {("s", "a"): ("s", "ab", 1)})
 
 
 def test_step_and_out_are_read_only(doubler):

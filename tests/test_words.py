@@ -184,6 +184,11 @@ def test_seq_run_examples():
     assert seq_run(partial, "ab") is None
 
 
+def test_seq_productions_stay_in_the_output_alphabet():
+    with pytest.raises(ValueError, match="outside the output alphabet"):
+        make_seq((0,), AB, alphabet("a"), 0, {0}, {(0, "a"): (0, "a"), (0, "b"): (0, "b")})
+
+
 @given(st.text(alphabet="ab", max_size=6), st.text(alphabet="ab", max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_seq_run_concat_on_total_single_state(u, v):
