@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -246,10 +247,11 @@ def _read_body(lines: _Lines, registry: MonoidRegistry, forms: dict) -> dict:
         if forms[word] is None:
             body[word][n] = line
             continue
-        head, colon, text = line.partition(":")
-        names = tuple(head.split()[1:])
-        if not colon or len(names) != forms[word] or (word in _BLOCKS and text.strip()):
+        # the names end at the colon after the last one; a marked letter a:01 keeps its own
+        head = re.fullmatch(rf"\s*{word}((?:\s+[^\s:]+(?::[01]+)?){{{forms[word]}}})\s*:(.*)", line)
+        if head is None or (word in _BLOCKS and head[2].strip()):
             raise ArtifactSyntaxError(f"bad line {line!r}", n)
+        names, text = tuple(head[1].split()), head[2]
         if names in body[word]:
             raise ArtifactSemanticError(f"repeated entry {line!r} (line {n})")
         if word in _BLOCKS:
@@ -883,7 +885,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

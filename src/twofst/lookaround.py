@@ -56,6 +56,10 @@ class SfLookAroundTransducer:
 
     def __post_init__(self):
         for tr in self.transitions:
+            if not all(b in self.out_alphabet for b in tr.out):
+                raise ValueError("a transition writes a symbol outside the output alphabet")
+            if tr.test.letter not in (*self.in_alphabet, LEFT_MARK, RIGHT_MARK):
+                raise ValueError(f"test letter {tr.test.letter!r} is not on the tape")
             if tr.move not in (-1, 0, 1):
                 raise ValueError(f"illegal move {tr.move!r}")
             if tr.test.letter == LEFT_MARK and tr.move == -1:
@@ -89,6 +93,8 @@ class FoLookAroundTransducer:
 
     def __post_init__(self):
         for tr in self.transitions:
+            if not all(b in self.out_alphabet for b in tr.out):
+                raise ValueError("a transition writes a symbol outside the output alphabet")
             if not free_vars(tr.guard) <= {"x"}:
                 raise ValueError("guards use the free variable x")
             if not free_vars(tr.jump) <= {"x", "y"}:

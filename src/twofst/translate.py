@@ -259,9 +259,7 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
         if r[0] == "r5" and r[2] in a.finals:
             finals.add(r)
     states = tuple(seen)
-    return trim(
-        make_twoway(states, a.in_alphabet, b.out_alphabet, r0, finals, rules)
-    )
+    return make_twoway(states, a.in_alphabet, b.out_alphabet, r0, finals, rules)
 
 
 def _pair_key(a: SequentialTransducer):
@@ -1005,9 +1003,8 @@ def sf_la_to_plain(t: SfLookAroundTransducer) -> TwoWayTransducer:
     )
 
     core = merge_equivalent(core)
-    m1 = merge_equivalent(trim(compose_right_seq_2w(right_ann, core)))
-    m2 = merge_equivalent(trim(compose_seq_2w(left_ann, m1)))
-    return trim(m2)
+    m1 = merge_equivalent(compose_right_seq_2w(right_ann, core))
+    return merge_equivalent(compose_seq_2w(left_ann, m1))
 
 
 def fot_to_twoway(

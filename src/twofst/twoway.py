@@ -23,6 +23,7 @@ from .words import (
     SymbolNotInAlphabet,
     Word,
     as_word,
+    refine,
 )
 
 
@@ -419,31 +420,20 @@ def merge_equivalent(t: TwoWayTransducer) -> TwoWayTransducer:
     """Quotient by the coarsest congruence on states (same finality and,
     blockwise, the same outgoing rows).  Preserves runs exactly."""
     symbols = tuple(t.in_alphabet) + (LEFT_MARK, RIGHT_MARK)
-    block = {q: (q in t.finals) for q in t.states}
-    nblocks = len(set(block.values()))
-    while True:
-        sigs = {}
-        new = {}
-        for q in t.states:
-            row = []
-            for a in symbols:
-                if (q, a) in t.step:
-                    r, move = t.step[(q, a)]
-                    row.append((block[r], t.out[(q, a)], move))
-                else:
-                    row.append(None)
-            sig = (block[q], tuple(row))
-            new[q] = sigs.setdefault(sig, len(sigs))
-        block = new
-        if len(sigs) == nblocks:
-            break
-        nblocks = len(sigs)
-    if nblocks == len(t.states):
+    index = {q: i for i, q in enumerate(t.states)}
+    kinds, block, rows = {}, [], []
+    for q in t.states:
+        got = [t.step.get((q, a)) for a in symbols]
+        kind = (q in t.finals, *[g and (t.out[(q, a)], g[1]) for a, g in zip(symbols, got)])
+        block.append(kinds.setdefault(kind, len(kinds)))
+        rows.append([index[g[0]] for g in got if g])  # kind already tells where q blocks
+    block = refine(block, rows)
+    if len(set(block)) == len(block):
         return t
     rep = {}
-    for q in t.states:
-        rep.setdefault(block[q], q)
-    rename = {q: rep[block[q]] for q in t.states}
+    for q, b in zip(t.states, block):
+        rep.setdefault(b, q)
+    rename = {q: rep[b] for q, b in zip(t.states, block)}
     rules = {}
     for (q, a), (r, move) in t.step.items():
         if rename[q] == q:

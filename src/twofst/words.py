@@ -280,6 +280,21 @@ def dfa_language_upto(d: Dfa, max_len: int):
     return [w for w in d.alphabet.words_upto(max_len) if dfa_accepts(d, w)]
 
 
+def refine(block: list, rows: list) -> list:
+    """Moore rounds: the coarsest refinement of ``block`` (a number per state)
+    in which each block's states have, column by column, targets ``rows[q]`` in one block."""
+    nblocks = len(set(block))
+    while True:
+        sigs = {}
+        block = [
+            sigs.setdefault((b,) + tuple([block[t] for t in row]), len(sigs))
+            for b, row in zip(block, rows)
+        ]
+        if len(sigs) == nblocks:
+            return block
+        nblocks = len(sigs)
+
+
 def dfa_minimize(d: Dfa) -> Dfa:
     """Moore partition refinement over the reachable part, then BFS renumber.
 
@@ -301,17 +316,7 @@ def dfa_minimize(d: Dfa) -> Dfa:
                 order.append(t)
     local = [tuple([number[t] for t in rows[q]]) for q in order]
     fin = [d._fin[q] for q in order]
-    block = [1 if f else 0 for f in fin]
-    nblocks = len(set(block))
-    while True:
-        sigs = {}
-        block = [
-            sigs.setdefault((b,) + tuple([block[t] for t in row]), len(sigs))
-            for b, row in zip(block, local)
-        ]
-        if len(sigs) == nblocks:
-            break
-        nblocks = len(sigs)
+    block = refine(fin, local)
     member = {}
     for i, b in enumerate(block):
         member.setdefault(b, i)

@@ -57,21 +57,22 @@ def crossing_oracle(t, u, i, j, q, leftward=False):
 
 def _random_machine(rng, marked=False):
     """2 to 5 states over {a, b}; each letter row is blocked, stays (0-move)
-    or moves either way, so runs block, bounce and loop.  ``marked`` adds
-    ``$`` rows that stay or move left and a second final state, so runs also
-    accept after a 0-move on ``$``, bounce off it and loop on it."""
-    states = tuple(range(rng.randint(2, 5)))
+    or moves either way, so runs block, bounce and loop, and writes ε, ``a``
+    or ``b``.  ``marked`` adds ``$`` rows that stay or move left and a second
+    final state, so runs also accept after a 0-move on ``$``, bounce off it
+    and loop on it."""
+    states, writes = tuple(range(rng.randint(2, 5))), ("", "a", "b")
     rules = {(q, "^"): (q, "", 1) for q in states}
     for q in states:
         for a in "ab":
             if rng.random() < 0.8:
-                rules[(q, a)] = (rng.choice(states), "", rng.choice((-1, 0, 1, 1, -1)))
+                rules[(q, a)] = (rng.choice(states), rng.choice(writes), rng.choice((-1, 0, 1, 1, -1)))
     finals = {states[-1]}
     if marked:
         finals.add(rng.choice(states[:-1]))
         for q in states:
             if rng.random() < 0.8:
-                rules[(q, "$")] = (rng.choice(states), "", rng.choice((0, -1)))
+                rules[(q, "$")] = (rng.choice(states), rng.choice(writes), rng.choice((0, -1)))
     return make_twoway(states, AB, AB, 0, finals, rules)
 
 

@@ -23,11 +23,12 @@ from twofst.cli import (
     serialize_fola,
     serialize_dfa,
 )
-from twofst.logic import RegistryError
-from twofst.machines import block_doubler, block_doubler_fot, copier, erase_b_seq
+from twofst.fot import FoTransduction
+from twofst.logic import RegistryError, TrueF, parse_formula
+from twofst.machines import AB, block_doubler, block_doubler_fot, copier, erase_b_seq
 from twofst.monoid import transition_monoid
 from twofst.translate import fot_to_fo_lookaround, fo_la_to_sf_la, twoway_to_fot
-from twofst.words import show_word
+from twofst.words import alphabet, show_word
 
 from conftest import data_path
 
@@ -117,6 +118,10 @@ def artifact_fixtures():
     yield serialize_dfa(class_language_dfa(monoid, class_of(monoid, "ab")))
     atoms = MonoidRegistry()  # a transduction of run atoms over an embedded monoid
     yield serialize_fot(twoway_to_fot(doubler, atoms, "M"), atoms)
+    marked = alphabet([("a", (0,)), ("a", (1,))])  # written a:0 and a:1, as in "pos 1 a:1:"
+    pos = {("1", b): parse_formula(f"(letter {c} x)") for b, c in zip(marked, "ab")}
+    le = {("1", "1"): parse_formula("(le x y)")}
+    yield serialize_fot(FoTransduction(AB, marked, TrueF(), ("1",), pos, le))
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +129,7 @@ def fixture_texts():
     return list(artifact_fixtures())
 
 
-@pytest.mark.parametrize("idx", range(8))
+@pytest.mark.parametrize("idx", range(9))
 def test_serialization_round_trip(fixture_texts, idx):
     text = fixture_texts[idx]
     art = parse_text(text)
@@ -408,6 +413,7 @@ def test_cli_eval_formula_checks_the_assignment(tmp_path, capsys, marked):
     assert code == 1 and out.strip() == "false"
 
 
+SFLA = SFLA_LEAVING_THE_TAPE.replace("/ b -1", "/ b 0")
 SEQ = "type: seq\ninput: a b\noutput: a b\nstates: 0\ninitial: 0\nfinal: 0\n0 a -> 0 / a\n"
 DFA = "type: dfa\ninput: a b\nstates: 0\ninitial: 0\nfinal: 0\n0 a -> 0\n0 b -> 0\n"
 with open(data_path("example4.fot")) as _f:
@@ -441,9 +447,14 @@ def test_repeated_entries_are_rejected(text, line):
         (FOT.replace("le 2 1:", "le 2 3:"), "no such copy"),
         (FOT.replace("dom: (and", "dom:  # (and"), "expected '('"),
         (FOT.replace("copies: 1 2", "copies: 1 2\ncopies: 1 2"), "repeated entry"),
+        (SFLA.replace("output: a b", "output: a"), "outside the output alphabet"),
+        (SFLA.replace("(L0 a L0)", "(L0 c L0)"), "not on the tape"),
+        ("type: fola\ninput: a b\noutput: a\nstates: q\ninitial: q\nfinal: q\n"
+         "formula g: (true)\nformula j: (true)\ntrans q g -> q / zz j\n", "outside the output alphabet"),
     ],
     ids=["truncated", "2wt-output", "seq-output", "fot-pos-copy", "fot-pos-letter",
-         "fot-le-copy", "fot-empty-dom", "fot-copies-twice"],
+         "fot-le-copy", "fot-empty-dom", "fot-copies-twice", "sfla-output", "sfla-test-letter",
+         "fola-output"],
 )
 def test_cli_rejects_malformed_files(tmp_path, capsys, text, message):
     f = tmp_path / "malformed"
@@ -484,6 +495,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad.write_text("type: 2wt\ninput: a b\n")
     code, _, err = run_cli(capsys, "simulate", str(bad), "--input", "a")
     assert code == 2 and "error" in err
+    missing = str(tmp_path / "missing.2wt")
+    code, _, err = run_cli(capsys, "simulate", missing, "--input", "a")
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and missing in err, err
 
 
 def test_cli_from_fot(tmp_path, capsys):
@@ -539,7 +553,7 @@ def mutants(text: str, seed: int, count: int):
 FUZZ_FILES = ["erase_b.seq", "example4.fot", "fig1.2wt", "identity.seq", "parity.2wt"]
 
 
-@pytest.mark.parametrize("source", [f"fixture{i}" for i in range(8)] + FUZZ_FILES)
+@pytest.mark.parametrize("source", [f"fixture{i}" for i in range(9)] + FUZZ_FILES)
 def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, fixture_texts, source):
     if source.startswith("fixture"):
         seed, text = int(source[7:]), fixture_texts[int(source[7:])]

@@ -16,7 +16,7 @@ from twofst.lookaround import (
 from twofst.logic import Letter, TrueF
 from twofst.translate import fot_to_fo_lookaround
 from twofst.twoway import simulate
-from twofst.words import dfa_universal, make_dfa, show_word
+from twofst.words import alphabet, dfa_universal, make_dfa, show_word
 from twofst.fot import fot_eval
 
 from conftest import words_upto
@@ -92,6 +92,21 @@ def test_sf_requires_counter_free_tests():
             "c",
             frozenset({"c"}),
         )
+
+
+def test_look_around_letters_stay_in_their_alphabets():
+    a_only = alphabet("a")
+    for letter, out, message in [("a", ("b",), "outside the output alphabet"),
+                                 ("c", ("a",), "not on the tape")]:
+        sf = (SfTransition("c", SfTest(any_lang(), letter, any_lang()), "c", out, 1),)
+        with pytest.raises(ValueError, match=message):
+            SfLookAroundTransducer(("c",), AB, a_only, sf, "c", frozenset({"c"}))
+    fo = (FoTransition("i", TrueF(), "f", ("a", "b"), Letter("$", "y")),)
+    with pytest.raises(ValueError, match="outside the output alphabet"):
+        FoLookAroundTransducer(("i", "f"), AB, a_only, fo, "i", frozenset({"f"}))
+    # endmarker tests and productions inside the alphabet stay legal
+    sf = (SfTransition("c", SfTest(any_lang(), "^", any_lang()), "c", ("a",), 1),)
+    SfLookAroundTransducer(("c",), AB, a_only, sf, "c", frozenset({"c"}))
 
 
 def test_fo_la_machine_from_transduction(doubler_fot):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ from twofst.machines import (
     parity_twoway,
     reverser,
 )
-from twofst.cli import parse, serialize_sfla
+from twofst.cli import parse, serialize_machine, serialize_sfla
 from twofst.logic import EvalSession, MonoidRegistry
 from twofst.monoid import class_of, is_aperiodic, reach_decision, transition_monoid
 from twofst.translate import (
@@ -43,7 +44,7 @@ from twofst.lookaround import (
     simulate_sf_la,
 )
 from twofst.fot import fot_eval
-from twofst.twoway import context_path, make_twoway, simulate
+from twofst.twoway import context_path, make_twoway, simulate, trim
 from twofst.words import dfa_is_counter_free, dfa_universal, make_dfa, make_seq, seq_run, show_word
 
 from conftest import budget, crossing_oracle, data_path, words_upto
@@ -58,12 +59,14 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 def test_compose_identity(doubler):
     c = compose_seq_2w(identity_seq(), doubler)
+    assert trim(c) is c  # the construction makes only states it reaches
     for w in words_upto(6):
         assert simulate(c, w).output == simulate(doubler, w).output, w
 
 
 def test_compose_erase_b(doubler):
     c = compose_seq_2w(erase_b_seq(), doubler)
+    assert trim(c) is c
     for w in words_upto(5):
         k = w.count("a")
         assert simulate(c, w).output == tuple("a" * k) + tuple("b" * k), w
@@ -72,6 +75,7 @@ def test_compose_erase_b(doubler):
 def test_compose_undefined_propagates(doubler):
     partial = make_seq((0,), AB, AB, 0, {0}, {(0, "a"): (0, "a")})
     c = compose_seq_2w(partial, doubler)
+    assert trim(c) is c
     for w in words_upto(5):
         mid = seq_run(partial, w)
         want = simulate(doubler, mid).output if mid is not None else None
@@ -87,6 +91,7 @@ def test_compose_multi_letter_productions(doubler):
     }
     seqm = make_seq((0, 1), AB, AB, 0, {0, 1}, rules)
     c = compose_seq_2w(seqm, doubler)
+    assert trim(c) is c
     for w in words_upto(6):
         mid = seq_run(seqm, w)
         want = simulate(doubler, mid).output if mid is not None else None
@@ -98,6 +103,7 @@ def test_compose_rejecting_final_states(doubler):
     rules = {(0, "a"): (1, "a"), (1, "a"): (0, "a"), (0, "b"): (0, "b"), (1, "b"): (1, "b")}
     seqm = make_seq((0, 1), AB, AB, 0, {0}, rules)
     c = compose_seq_2w(seqm, doubler)
+    assert trim(c) is c
     for w in words_upto(5):
         mid = seq_run(seqm, w)
         want = simulate(doubler, mid).output if mid is not None else None
@@ -127,6 +133,7 @@ def seq_index(t):
 
 def test_compose_aperiodicity_and_index_log(doubler, doubler_monoid):
     c = compose_seq_2w(erase_b_seq(), doubler)
+    assert trim(c) is c
     m = transition_monoid(c)
     rep = is_aperiodic(m)
     assert rep.aperiodic
@@ -540,8 +547,19 @@ def test_sf_la_to_plain_caps_the_test_languages():
 # Round trips
 
 
-@pytest.mark.parametrize("machine", [copier, reverser], ids=["copier", "reverser"])
-def test_round_trip_small_machines(machine):
+def fingerprint(t) -> tuple:
+    """Length and sha256 prefix of the machine's file text: a construction
+    that changes state names, their order or any row changes it."""
+    text = serialize_machine(t).encode()
+    return len(text), hashlib.sha256(text).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "machine, bytes_",
+    [(copier, (4015, "94a30b3d3eac555a")), (reverser, (9057, "6c17e63c12536971"))],
+    ids=["copier", "reverser"],
+)
+def test_round_trip_small_machines(machine, bytes_):
     t = machine()
     reg = MonoidRegistry()
     with budget(f"round trip ({machine.__name__})", 8.0):
@@ -549,6 +567,11 @@ def test_round_trip_small_machines(machine):
         rt = fot_to_twoway(T, reg, bound=3)
     for w in words_upto(4):  # the empty word too, which both machines map to itself
         assert simulate(rt, w).output == simulate(t, w).output, w
+    assert fingerprint(rt) == bytes_
+
+
+def test_plain_doubler_keeps_its_bytes(doubler_plain):
+    assert fingerprint(doubler_plain) == (21339, "1215cc7742f597af")
 
 
 def test_round_trip_third_crafted_machine():
@@ -596,6 +619,7 @@ def test_round_trip_running_example(doubler):
     for w in words_upto(4, min_len=1):
         assert simulate(rt, w).output == simulate(doubler, w).output, w
     assert is_aperiodic(transition_monoid(rt)).aperiodic
+    assert fingerprint(rt) == (36447, "8b407213ba8d9b82")
 
 
 def test_reverse_round_trip_example(doubler_fot, doubler_plain):

@@ -304,6 +304,81 @@ def test_trim_keeps_reachable_states_in_order(doubler):
     assert trim(doubler) is doubler
 
 
+def dict_merge_equivalent(t):
+    """Reference ``merge_equivalent``: each refinement round rebuilds every
+    state's signature from dict lookups."""
+    symbols = tuple(t.in_alphabet) + ("^", "$")
+    block = {q: (q in t.finals) for q in t.states}
+    nblocks = len(set(block.values()))
+    while True:
+        sigs = {}
+        new = {}
+        for q in t.states:
+            row = []
+            for a in symbols:
+                if (q, a) in t.step:
+                    r, move = t.step[(q, a)]
+                    row.append((block[r], t.out[(q, a)], move))
+                else:
+                    row.append(None)
+            sig = (block[q], tuple(row))
+            new[q] = sigs.setdefault(sig, len(sigs))
+        block = new
+        if len(sigs) == nblocks:
+            break
+        nblocks = len(sigs)
+    if nblocks == len(t.states):
+        return t
+    rep = {}
+    for q in t.states:
+        rep.setdefault(block[q], q)
+    rename = {q: rep[block[q]] for q in t.states}
+    rules = {}
+    for (q, a), (r, move) in t.step.items():
+        if rename[q] == q:
+            rules[(q, a)] = (rename[r], t.out[(q, a)], move)
+    states = tuple(rep.values())
+    finals = {rename[f] for f in t.finals}
+    return make_twoway(states, t.in_alphabet, t.out_alphabet, rename[t.initial], finals, rules)
+
+
+def _with_twins(rng, t):
+    """``t`` with a twin of every state, listed in a shuffled order.  A twin
+    copies its state's rows, each into the state or its twin at random, so
+    the two are equivalent; one row in ten writes a new random letter, which
+    can split the pair and, over later rounds, the pairs that lead to it."""
+    twin = {q: ("twin", q) for q in t.states}
+    rules = {}
+    for (q, a), (r, move) in t.step.items():
+        out = t.out[(q, a)]
+        rules[(q, a)] = (rng.choice((r, twin[r])), out, move)
+        if rng.random() < 0.1:
+            out = rng.choice(((), ("a",), ("b",)))
+        rules[(twin[q], a)] = (rng.choice((r, twin[r])), out, move)
+    states = list(t.states) + list(twin.values())
+    rng.shuffle(states)
+    finals = set(t.finals) | {twin[q] for q in t.finals}
+    return make_twoway(states, t.in_alphabet, t.out_alphabet, t.initial, finals, rules)
+
+
+def test_merge_equivalent_matches_dict_reference():
+    rng = random.Random(11)
+    machines = [_random_machine(rng, marked=True) for _ in range(60)]
+    machines += [_with_twins(rng, t) for t in machines]
+    seen = dict.fromkeys(("kept", "halved", "merged less", "$ row on a final state", "blocked row"), 0)
+    for t in machines:
+        got, want = merge_equivalent(t), dict_merge_equivalent(t)
+        assert (got is t) == (want is t)
+        assert (got.initial, got.states, got.finals) == (want.initial, want.states, want.finals), t.step
+        assert list(got.step.items()) == list(want.step.items()), t.step
+        assert list(got.out.items()) == list(want.out.items()), t.step
+        n, m = len(t.states), len(got.states)
+        seen["kept" if m == n else "halved" if 2 * m == n else "merged less"] += 1
+        seen["$ row on a final state"] += any((q, "$") in t.step for q in t.finals)
+        seen["blocked row"] += len(t.step) < 4 * n
+    assert all(seen.values()), seen
+
+
 def test_merge_equivalent_preserves_runs(doubler):
     bloated_rules = {
         (q, a): (r, doubler.out[(q, a)], mv)
