@@ -14,7 +14,7 @@ finite Boolean combinations of class atoms and stay first-order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -35,6 +35,8 @@ from .words import (
     dfa_universal,
     explore_dfa,
     marked_alphabet,
+    parse_symbol,
+    show_symbol,
 )
 from .monoid import (
     BehaviorProfile,
@@ -141,9 +143,6 @@ class RunAtom(Formula):
     vars: tuple
 
 
-_RUN_ARITY = {"accept": 0, "visit": 1, "reach": 2}  # states, and as many variables
-
-
 @dataclass(frozen=True)
 class And(Formula):
     args: tuple
@@ -172,6 +171,61 @@ class Forall(Formula):
 
 
 FALSE = Not(TrueF())
+
+_RUN_ARITY = {"accept": 0, "visit": 1, "reach": 2}  # states, and as many variables
+
+# Each node kind: its operator in the concrete syntax, and the role of each
+# of its fields, in order.  The roles: a letter of the word, written as the
+# alphabets write it; a free variable, or a tuple of them (``vars``); the
+# variable a quantifier binds; the names of a registered monoid and of one
+# of its elements; a run atom's kind, which is its operator, and its state
+# indices; a subformula, or a tuple of them (``subs``).  The printer, the
+# parser, renaming and the walks read this table; evaluation and
+# compilation keep their own code per kind, as that code is the semantics.
+_SHAPES = {
+    TrueF: ("true", ()),
+    Letter: ("letter", ("letter", "var")),
+    Le: ("le", ("var", "var")),
+    FactorClass: ("class", ("monoid", "element", "var", "var")),
+    PrefixClass: ("pclass", ("monoid", "element", "var")),
+    SuffixClass: ("sclass", ("monoid", "element", "var")),
+    RunAtom: (None, ("monoid", "kind", "states", "vars")),
+    And: ("and", ("subs",)),
+    Or: ("or", ("subs",)),
+    Not: ("not", ("sub",)),
+    Exists: ("exists", ("bound", "sub")),
+    Forall: ("forall", ("bound", "sub")),
+}
+_FIELDS = {  # (field name, role) pairs of each kind
+    kind: tuple(zip([f.name for f in fields(kind) if f.init], roles, strict=True))
+    for kind, (_, roles) in _SHAPES.items()
+}
+_BY_OPERATOR = {op: kind for kind, (op, _) in _SHAPES.items() if op} | dict.fromkeys(_RUN_ARITY, RunAtom)
+
+
+def _fields(phi: Formula) -> list:
+    """``(value, role)`` for each field of the node, in order."""
+    shape = _FIELDS.get(type(phi))
+    if shape is None:
+        raise TypeError(f"not a formula: {phi!r}")
+    return [(getattr(phi, name), role) for name, role in shape]
+
+
+def _nodes(phi: Formula) -> list:
+    """Each node of the formula once; formulas are DAGs, and a shared
+    subformula is one node."""
+    stack, seen, out = [phi], set(), []
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            out.append(f)
+            for value, role in _fields(f):
+                if role == "sub":
+                    stack.append(value)
+                elif role == "subs":
+                    stack.extend(value)
+    return out
 
 
 def conj(args) -> Formula:
@@ -246,60 +300,40 @@ def free_vars(phi: Formula) -> frozenset:
 
 
 def _all_vars(phi: Formula) -> frozenset:
-    if isinstance(phi, (Exists, Forall)):
-        return _all_vars(phi.body) | {phi.var}
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for a in phi.args:
-            out |= _all_vars(a)
-        return out
-    if isinstance(phi, Not):
-        return _all_vars(phi.arg)
-    return free_vars(phi)
+    """The variables of ``phi``, free or bound."""
+    out = set()
+    for f in _nodes(phi):
+        for value, role in _fields(f):
+            if role in ("var", "bound"):
+                out.add(value)
+            elif role == "vars":
+                out.update(value)
+    return frozenset(out)
 
 
-def subst_var(phi: Formula, old: str, new: str) -> Formula:
-    """Replace free occurrences of ``old`` by ``new``, avoiding capture."""
-    if old == new:
+def subst_var(phi: Formula, renaming: dict) -> Formula:
+    """Rename the free variables of ``phi`` all at once, each ``old`` to
+    ``renaming[old]``; a binder that would capture a new name is renamed
+    to a fresh variable first."""
+    free = free_vars(phi)
+    renaming = {old: new for old, new in renaming.items() if old in free and old != new}
+    if not renaming:
         return phi
-    if isinstance(phi, TrueF):
-        return phi
-    if isinstance(phi, Letter):
-        return Letter(phi.symbol, new if phi.var == old else phi.var)
-    if isinstance(phi, Le):
-        return Le(
-            new if phi.left == old else phi.left,
-            new if phi.right == old else phi.right,
-        )
-    if isinstance(phi, FactorClass):
-        return FactorClass(
-            phi.monoid,
-            phi.element,
-            new if phi.left == old else phi.left,
-            new if phi.right == old else phi.right,
-        )
-    if isinstance(phi, PrefixClass):
-        return PrefixClass(phi.monoid, phi.element, new if phi.var == old else phi.var)
-    if isinstance(phi, SuffixClass):
-        return SuffixClass(phi.monoid, phi.element, new if phi.var == old else phi.var)
-    if isinstance(phi, RunAtom):
-        return RunAtom(phi.monoid, phi.kind, phi.states, tuple(new if v == old else v for v in phi.vars))
-    if isinstance(phi, And):
-        return And(tuple(subst_var(a, old, new) for a in phi.args))
-    if isinstance(phi, Or):
-        return Or(tuple(subst_var(a, old, new) for a in phi.args))
-    if isinstance(phi, Not):
-        return Not(subst_var(phi.arg, old, new))
-    if isinstance(phi, (Exists, Forall)):
-        cls = type(phi)
-        if phi.var == old:
-            return phi
-        if phi.var == new:
-            fresh = _fresh_var(phi.var, _all_vars(phi) | {old, new})
-            body = subst_var(phi.body, phi.var, fresh)
-            return cls(fresh, subst_var(body, old, new))
-        return cls(phi.var, subst_var(phi.body, old, new))
-    raise TypeError(f"not a formula: {phi!r}")
+    values = []
+    for value, role in _fields(phi):
+        if role == "bound" and value in renaming.values():
+            fresh = _fresh_var(value, _all_vars(phi).union(renaming, renaming.values()))
+            renaming = {**renaming, value: fresh}
+        if role in ("var", "bound"):
+            value = renaming.get(value, value)
+        elif role == "vars":
+            value = tuple(renaming.get(v, v) for v in value)
+        elif role == "sub":
+            value = subst_var(value, renaming)
+        elif role == "subs":
+            value = tuple(subst_var(a, renaming) for a in value)
+        values.append(value)
+    return type(phi)(*values)
 
 
 def _fresh_var(base: str, taken: frozenset) -> str:
@@ -362,22 +396,12 @@ def _run_monoid(registry: Optional[MonoidRegistry], phi: RunAtom) -> TransitionM
 def check_atoms(phi: Formula, registry: MonoidRegistry) -> None:
     """Raise :class:`RegistryError` unless every class atom of ``phi`` names
     an element, and every run atom states, of a monoid in ``registry``."""
-    stack, seen = [phi], set()
-    while stack:
-        f = stack.pop()
-        if id(f) in seen:  # formulas are DAGs; visit shared nodes once
-            continue
-        seen.add(id(f))
-        if isinstance(f, (FactorClass, PrefixClass, SuffixClass)):
-            registry.element(f.monoid, f.element)
-        elif isinstance(f, RunAtom):
-            _run_monoid(registry, f)
-        elif isinstance(f, (And, Or)):
-            stack.extend(f.args)
-        elif isinstance(f, Not):
-            stack.append(f.arg)
-        elif isinstance(f, (Exists, Forall)):
-            stack.append(f.body)
+    for f in _nodes(phi):
+        for _, role in _fields(f):
+            if role == "element":
+                registry.element(f.monoid, f.element)
+            elif role == "states":
+                _run_monoid(registry, f)
 
 
 def _run_truth(m: TransitionMonoid, phi: RunAtom, factors: tuple, segments: tuple) -> bool:
@@ -668,7 +692,7 @@ class _Compiler:
         var = phi.var
         if var in scope:
             fresh = _fresh_var(var, frozenset(scope) | _all_vars(phi.body))
-            return self._exists(Exists(fresh, subst_var(phi.body, var, fresh)), scope, negate)
+            return self._exists(Exists(fresh, subst_var(phi.body, {var: fresh})), scope, negate)
         inner_scope = scope + (var,)
         body = self.compile(phi.body, inner_scope)
         body = dfa_intersect(body, self._exactly_one(len(inner_scope), len(scope)))
@@ -916,31 +940,18 @@ def certify_star_free(
 
 
 def show_formula(phi: Formula) -> str:
-    if isinstance(phi, TrueF):
-        return "(true)"
-    if isinstance(phi, Letter):
-        return f"(letter {phi.symbol} {phi.var})"
-    if isinstance(phi, Le):
-        return f"(le {phi.left} {phi.right})"
-    if isinstance(phi, FactorClass):
-        return f"(class {phi.monoid} {phi.element} {phi.left} {phi.right})"
-    if isinstance(phi, PrefixClass):
-        return f"(pclass {phi.monoid} {phi.element} {phi.var})"
-    if isinstance(phi, SuffixClass):
-        return f"(sclass {phi.monoid} {phi.element} {phi.var})"
-    if isinstance(phi, RunAtom):
-        return "(" + " ".join([phi.kind, phi.monoid, *map(str, phi.states), *phi.vars]) + ")"
-    if isinstance(phi, And):
-        return "(and " + " ".join(show_formula(a) for a in phi.args) + ")"
-    if isinstance(phi, Or):
-        return "(or " + " ".join(show_formula(a) for a in phi.args) + ")"
-    if isinstance(phi, Not):
-        return f"(not {show_formula(phi.arg)})"
-    if isinstance(phi, Exists):
-        return f"(exists {phi.var} {show_formula(phi.body)})"
-    if isinstance(phi, Forall):
-        return f"(forall {phi.var} {show_formula(phi.body)})"
-    raise TypeError(f"not a formula: {phi!r}")
+    items = _fields(phi)
+    parts = [_SHAPES[type(phi)][0] or phi.kind]
+    for value, role in items:
+        if role in ("sub", "subs"):
+            parts += map(show_formula, (value,) if role == "sub" else value)
+        elif role == "letter":
+            parts.append(show_symbol(value))
+        elif role in ("states", "vars"):
+            parts += map(str, value)
+        elif role != "kind":
+            parts.append(value)
+    return "(" + " ".join(parts) + ")"
 
 
 class FormulaSyntaxError(ValueError):
@@ -979,54 +990,33 @@ def parse_formula(text: str) -> Formula:
 def _tree_to_formula(tree) -> Formula:
     if not isinstance(tree, list) or not tree or not isinstance(tree[0], str):
         raise FormulaSyntaxError(f"bad node {tree!r}")
-    head = tree[0]
-    args = tree[1:]
-
-    def need(n, formulas=0):
-        """``n`` arguments: names, then ``formulas`` subformulas."""
-        if len(args) != n:
-            raise FormulaSyntaxError(f"{head} expects {n} arguments, got {len(args)}")
-        if not all(isinstance(a, str) for a in args[: n - formulas]):
+    head, args = tree[0], tree[1:]
+    kind = _BY_OPERATOR.get(head)
+    if kind is None:
+        raise FormulaSyntaxError(f"unknown operator {head!r}")
+    # the tokens each field takes: a run atom's kind is its operator, and its
+    # arity numbers its states and its variables; and/or take every argument
+    k = _RUN_ARITY.get(head)
+    widths = [{"kind": 0, "subs": len(args), "states": k, "vars": k}.get(role, 1) for _, role in _FIELDS[kind]]
+    if sum(widths) != len(args):
+        raise FormulaSyntaxError(f"{head} expects {sum(widths)} arguments, got {len(args)}")
+    values, i = [], 0
+    for (_, role), n in zip(_FIELDS[kind], widths):
+        got, i = args[i : i + n], i + n
+        if role in ("sub", "subs"):
+            got = [_tree_to_formula(a) for a in got]
+        elif not all(isinstance(a, str) for a in got):
             raise FormulaSyntaxError(f"{head} expects a name where a formula is")
-
-    if head == "true":
-        need(0)
-        return TrueF()
-    if head == "letter":
-        need(2)
-        from .words import parse_symbol
-
-        return Letter(parse_symbol(args[0]), args[1])
-    if head == "le":
-        need(2)
-        return Le(args[0], args[1])
-    if head == "class":
-        need(4)
-        return FactorClass(args[0], args[1], args[2], args[3])
-    if head == "pclass":
-        need(3)
-        return PrefixClass(args[0], args[1], args[2])
-    if head == "sclass":
-        need(3)
-        return SuffixClass(args[0], args[1], args[2])
-    if head in _RUN_ARITY:
-        k = _RUN_ARITY[head]
-        need(1 + 2 * k)
-        states = args[1 : 1 + k]
-        if not all(a.isdecimal() for a in states):
-            raise FormulaSyntaxError(f"{head} takes a monoid, state indices and variables")
-        return RunAtom(args[0], head, tuple(map(int, states)), tuple(args[1 + k :]))
-    if head == "and":
-        return conj([_tree_to_formula(a) for a in args])
-    if head == "or":
-        return disj([_tree_to_formula(a) for a in args])
-    if head == "not":
-        need(1, 1)
-        return neg(_tree_to_formula(args[0]))
-    if head == "exists":
-        need(2, 1)
-        return Exists(args[0], _tree_to_formula(args[1]))
-    if head == "forall":
-        need(2, 1)
-        return Forall(args[0], _tree_to_formula(args[1]))
-    raise FormulaSyntaxError(f"unknown operator {head!r}")
+        elif role == "states":
+            if not all(a.isdecimal() for a in got):
+                raise FormulaSyntaxError(f"{head} takes a monoid, state indices and variables")
+            got = [int(a) for a in got]
+        elif role == "letter":
+            got = [parse_symbol(got[0])]
+        if role == "kind":
+            values.append(head)
+        elif role in ("states", "vars", "subs"):
+            values.append(tuple(got))
+        else:
+            values.append(got[0])
+    return {And: conj, Or: disj, Not: neg}.get(kind, kind)(*values)

@@ -44,7 +44,6 @@ from .monoid import is_aperiodic, run_visits, transition_monoid
 from .logic import (
     FALSE,
     Forall,
-    Formula,
     Letter,
     MonoidRegistry,
     RunAtom,
@@ -337,18 +336,6 @@ def twoway_to_fot(
 # FO transduction -> FO look-around machine
 
 
-def _apply1(phi: Formula, var: str) -> Formula:
-    """Instantiate a one-free-variable formula (over x) at ``var``."""
-    return subst_var(phi, "x", var)
-
-
-def _apply2(phi: Formula, u: str, v: str) -> Formula:
-    """Instantiate a two-free-variable formula (over x, y) at ``(u, v)``."""
-    tmp1, tmp2 = "ap1_", "ap2_"
-    out = subst_var(subst_var(phi, "x", tmp1), "y", tmp2)
-    return subst_var(subst_var(out, tmp1, u), tmp2, v)
-
-
 def fot_to_fo_lookaround(T: FoTransduction) -> FoLookAroundTransducer:
     """Machine whose head follows the output structure of the transduction.
 
@@ -360,12 +347,10 @@ def fot_to_fo_lookaround(T: FoTransduction) -> FoLookAroundTransducer:
     copies = T.copies
 
     def star(c, var):
-        return _apply1(
-            disj([T.pos_formula(c, bsym) for bsym in T.out_alphabet]), var
-        )
+        return subst_var(disj([T.pos_formula(c, bsym) for bsym in T.out_alphabet]), {"x": var})
 
     def order(c, c2, u, v):
-        return _apply2(T.order_formula(c, c2), u, v)
+        return subst_var(T.order_formula(c, c2), {"x": u, "y": v})
 
     def successor(c, c2):
         inner = conj(
@@ -433,7 +418,7 @@ def fot_to_fo_lookaround(T: FoTransduction) -> FoLookAroundTransducer:
             transitions.append(
                 FoTransition(
                     c,
-                    conj([_apply1(guard, "x"), last_c, T.dom]),
+                    conj([guard, last_c, T.dom]),
                     fin,
                     (bsym,),
                     Letter(RIGHT_MARK, "y"),
@@ -992,9 +977,9 @@ def sf_la_to_plain(t: SfLookAroundTransducer) -> TwoWayTransducer:
             if dst in probes[mark]:
                 core_emit(ret, mark, probes[mark][dst], (), inward)
 
-    added = {s for table in (*probes.values(), *rets.values()) for s in table.values()}
+    added = [s for table in (*probes.values(), *rets.values()) for s in table.values()]
     core = make_twoway(
-        tuple(set(t.states) | added),
+        tuple(dict.fromkeys([*t.states, *added])),
         letters,
         t.out_alphabet,
         t.initial,
@@ -1003,7 +988,7 @@ def sf_la_to_plain(t: SfLookAroundTransducer) -> TwoWayTransducer:
     )
 
     core = merge_equivalent(core)
-    m1 = merge_equivalent(compose_right_seq_2w(right_ann, core))
+    m1 = compose_right_seq_2w(right_ann, core)
     return merge_equivalent(compose_seq_2w(left_ann, m1))
 
 

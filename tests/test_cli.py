@@ -122,6 +122,9 @@ def artifact_fixtures():
     pos = {("1", b): parse_formula(f"(letter {c} x)") for b, c in zip(marked, "ab")}
     le = {("1", "1"): parse_formula("(le x y)")}
     yield serialize_fot(FoTransduction(AB, marked, TrueF(), ("1",), pos, le))
+    # a letter atom over a marked input letter, written as the alphabet writes it
+    pos = {("1", "a"): parse_formula("(letter a:1 x)")}
+    yield serialize_fot(FoTransduction(marked, AB, TrueF(), ("1",), pos, le))
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +132,7 @@ def fixture_texts():
     return list(artifact_fixtures())
 
 
-@pytest.mark.parametrize("idx", range(9))
+@pytest.mark.parametrize("idx", range(10))
 def test_serialization_round_trip(fixture_texts, idx):
     text = fixture_texts[idx]
     art = parse_text(text)
@@ -553,7 +556,7 @@ def mutants(text: str, seed: int, count: int):
 FUZZ_FILES = ["erase_b.seq", "example4.fot", "fig1.2wt", "identity.seq", "parity.2wt"]
 
 
-@pytest.mark.parametrize("source", [f"fixture{i}" for i in range(9)] + FUZZ_FILES)
+@pytest.mark.parametrize("source", [f"fixture{i}" for i in range(10)] + FUZZ_FILES)
 def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, fixture_texts, source):
     if source.startswith("fixture"):
         seed, text = int(source[7:]), fixture_texts[int(source[7:])]

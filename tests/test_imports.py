@@ -137,3 +137,39 @@ def test_every_library_option_is_set():
             sources[path] = f.read()
     defining = [os.path.join(ROOT, "src", "twofst", name) for name in MODULES + ["__init__.py"]]
     assert unset_options(sources, defining) == []
+
+
+def node_kind_tests(source: str, kinds: set) -> list:
+    """Lines of ``source`` that call ``isinstance`` with one of the classes
+    named in ``kinds``, alone or in a tuple, by a name or an attribute."""
+    lines = []
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance" and len(call.args) == 2:
+            target = call.args[1]
+            classes = target.elts if isinstance(target, ast.Tuple) else [target]
+            if {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes} & kinds:
+                lines.append(call.lineno)
+    return lines
+
+
+def test_scan_flags_a_node_kind_test():
+    source = (
+        "from twofst import logic\n\n"
+        "isinstance(phi, Formula)\n"
+        "isinstance(phi, (And, Or))\n"
+        "isinstance(phi, logic.Exists)\n"
+        "isinstance(n, int)\n"
+    )
+    assert node_kind_tests(source, {"And", "Or", "Exists"}) == [4, 5]
+
+
+def test_node_kinds_are_told_apart_only_in_logic():
+    # the shape of each node kind is stated once, in twofst.logic; other
+    # modules build and pass formulas but do not dispatch on their kind
+    from twofst.logic import Formula
+
+    kinds = {kind.__name__ for kind in Formula.__subclasses__()}
+    for module in MODULES:
+        if module != "logic.py":
+            with open(os.path.join(PACKAGE, module)) as f:
+                assert node_kind_tests(f.read(), kinds) == [], module

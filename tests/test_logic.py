@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from twofst.logic import (
     Exists,
     FactorClass,
     Forall,
+    Formula,
     FormulaSyntaxError,
     Le,
     Letter,
@@ -26,6 +28,7 @@ from twofst.logic import (
     TrueF,
     UnboundVariable,
     certify_star_free,
+    check_atoms,
     compile_to_dfa,
     conj,
     eval_formula,
@@ -279,11 +282,78 @@ def test_run_atom_registry_errors(registry):
 
 def test_subst_var_capture():
     phi = Exists("y", Le("x", "y"))
-    sub = subst_var(phi, "x", "y")  # must not capture
+    sub = subst_var(phi, {"x": "y"})  # must not capture
     assert eval_formula(sub, "ab", {"y": 1}) == eval_formula(
         Exists("z", Le("y", "z")), "ab", {"y": 1}
     )
     assert free_vars(sub) == frozenset({"y"})
+
+
+def test_subst_var_swaps_under_a_binder_of_a_new_name():
+    # x and y trade places at once; the binder y would capture the new y
+    phi = And((Le("x", "y"), Exists("y", And((Le("x", "y"), Letter("a", "y"))))))
+    swapped = subst_var(phi, {"x": "y", "y": "x"})
+    assert swapped == And((Le("y", "x"), Exists("y_1", And((Le("y", "y_1"), Letter("a", "y_1"))))))
+    for w in words_upto(3, min_len=1):
+        for i, j in product(range(1, len(w) + 1), repeat=2):
+            assert eval_formula(swapped, w, {"x": i, "y": j}) == eval_formula(phi, w, {"x": j, "y": i})
+
+
+NODE_SAMPLES = {  # one node of each kind, over the monoid M of the block doubler
+    TrueF: TrueF(),
+    Letter: Letter(("a", (1,)), "x"),
+    Le: Le("x", "y"),
+    FactorClass: FactorClass("M", "ab", "x", "y"),
+    PrefixClass: PrefixClass("M", "a", "x"),
+    SuffixClass: SuffixClass("M", "ab", "y"),
+    RunAtom: RunAtom("M", "reach", (0, 2), ("y", "x")),
+    And: And((Le("x", "y"), Letter("b", "z"))),
+    Or: Or((Le("x", "y"), Letter("b", "z"))),
+    Not: Not(Le("x", "y")),
+    Exists: Exists("z", And((Le("x", "z"), Le("z", "y")))),
+    Forall: Forall("z", Or((Le("x", "z"), Letter("a", "y")))),
+}
+
+
+def test_every_node_kind_prints_parses_renames_and_is_checked(registry):
+    # a new node kind fails here until it has a sample, and its sample fails
+    # until the syntax table has a row for the kind
+    assert set(NODE_SAMPLES) == set(Formula.__subclasses__())
+    renaming = {"x": "u", "y": "v", "z": "w"}
+    back = {new: old for old, new in renaming.items()}
+    bad_atoms = [
+        FactorClass("M", "nope", "x", "y"),
+        PrefixClass("N", "a", "x"),
+        SuffixClass("M", "nope", "y"),
+        RunAtom("M", "visit", (3,), ("x",)),
+        RunAtom("N", "accept", (), ()),
+    ]
+    connectives = 0
+    for kind, phi in NODE_SAMPLES.items():
+        assert parse_formula(show_formula(phi)) == phi, kind
+        renamed = subst_var(phi, renaming)
+        assert free_vars(renamed) == {renaming[v] for v in free_vars(phi)}, kind
+        assert subst_var(renamed, back) == phi, kind
+        check_atoms(phi, registry)
+        # put each bad atom where the node keeps its subformulas
+        holds_subformulas = False
+        for f in fields(phi):
+            value = getattr(phi, f.name) if f.init else None
+            if isinstance(value, Formula):
+                placed = bad_atoms
+            elif isinstance(value, tuple) and value and isinstance(value[0], Formula):
+                placed = [value[:-1] + (bad,) for bad in bad_atoms]
+            else:
+                continue
+            holds_subformulas = True
+            for new in placed:
+                with pytest.raises(RegistryError):
+                    check_atoms(replace(phi, **{f.name: new}), registry)
+        connectives += holds_subformulas
+    assert connectives == 5
+    for bad in bad_atoms:
+        with pytest.raises(RegistryError):
+            check_atoms(bad, registry)
 
 
 def test_session_matches_eval(registry):

@@ -587,14 +587,15 @@ def test_round_trip_third_crafted_machine():
 
 
 def test_fot_to_twoway_output_independent_of_hash_seed():
-    # state numbering must not follow set iteration order, which changes
-    # with the string hash seed
+    # state names and their numbering must not follow set iteration order,
+    # which changes with the string hash seed; the file text renames the
+    # states, so the names are compared as well
     script = (
         "from twofst import cli\n"
         "from twofst.machines import block_doubler_fot\n"
         "from twofst.translate import fot_to_twoway\n"
         "plain = fot_to_twoway(block_doubler_fot(), None, bound=3)\n"
-        "print(cli.serialize_machine(plain), end='')\n"
+        "print(cli.serialize_machine(plain), repr(plain.states), end='')\n"
     )
     path = os.pathsep.join(p for p in [SRC, os.environ.get("PYTHONPATH")] if p)
     runs = [
