@@ -38,11 +38,12 @@ class FoTransduction:
         for f in self.order.values():
             if not free_vars(f) <= {"x", "y"}:
                 raise ValueError("order formulas use the free variables x, y")
+        copies = frozenset(self.copies)
         for c, b in self.pos:
-            if c not in self.copies or b not in self.out_alphabet:
+            if c not in copies or b not in self.out_alphabet:
                 raise ValueError(f"position formula of ({c!r}, {b!r}): no such copy or output letter")
         for c, c2 in self.order:
-            if c not in self.copies or c2 not in self.copies:
+            if c not in copies or c2 not in copies:
                 raise ValueError(f"order formula of ({c!r}, {c2!r}): no such copy")
 
     def pos_formula(self, copy, b) -> Formula:

@@ -27,6 +27,7 @@ from .words import (
     as_word,
     dense_dfa,
     dfa_intersect,
+    dfa_inverse_image,
     dfa_is_counter_free,
     dfa_minimize,
     dfa_project_bit,
@@ -314,26 +315,37 @@ def _all_vars(phi: Formula) -> frozenset:
 def subst_var(phi: Formula, renaming: dict) -> Formula:
     """Rename the free variables of ``phi`` all at once, each ``old`` to
     ``renaming[old]``; a binder that would capture a new name is renamed
-    to a fresh variable first."""
-    free = free_vars(phi)
-    renaming = {old: new for old, new in renaming.items() if old in free and old != new}
-    if not renaming:
-        return phi
-    values = []
-    for value, role in _fields(phi):
-        if role == "bound" and value in renaming.values():
-            fresh = _fresh_var(value, _all_vars(phi).union(renaming, renaming.values()))
-            renaming = {**renaming, value: fresh}
-        if role in ("var", "bound"):
-            value = renaming.get(value, value)
-        elif role == "vars":
-            value = tuple(renaming.get(v, v) for v in value)
-        elif role == "sub":
-            value = subst_var(value, renaming)
-        elif role == "subs":
-            value = tuple(subst_var(a, renaming) for a in value)
-        values.append(value)
-    return type(phi)(*values)
+    to a fresh variable first.  A subformula shared in the DAG is renamed
+    once per renaming that reaches it."""
+    memo = {}  # (id of node, renaming of its free variables) -> renamed node
+
+    def rename(f, renaming):
+        free = free_vars(f)
+        renaming = {old: new for old, new in renaming.items() if old in free and old != new}
+        if not renaming:
+            return f
+        key = (id(f), tuple(sorted(renaming.items())))
+        got = memo.get(key)
+        if got is not None:
+            return got
+        values = []
+        for value, role in _fields(f):
+            if role == "bound" and value in renaming.values():
+                fresh = _fresh_var(value, _all_vars(f).union(renaming, renaming.values()))
+                renaming = {**renaming, value: fresh}
+            if role in ("var", "bound"):
+                value = renaming.get(value, value)
+            elif role == "vars":
+                value = tuple(renaming.get(v, v) for v in value)
+            elif role == "sub":
+                value = rename(value, renaming)
+            elif role == "subs":
+                value = tuple(rename(a, renaming) for a in value)
+            values.append(value)
+        got = memo[key] = type(f)(*values)
+        return got
+
+    return rename(phi, renaming)
 
 
 def _fresh_var(base: str, taken: frozenset) -> str:
@@ -824,37 +836,13 @@ class _Compiler:
         return dfa_minimize(d)
 
     def _run_atom(self, phi: RunAtom, scope, alpha) -> Dfa:
-        """Reads the cut factorization of the tape: a state holds the classes
-        and cut letters so far, the class being read last, and the segment
-        of each placed variable (0 before it is placed).  Final states are
-        decided by :func:`_run_truth`, as in evaluation."""
+        """The atom's own DFA, lifted into the scope: a scope symbol moves as
+        the atom symbol with its letter and the bits of the atom's variables."""
         m = _run_monoid(self.registry, phi)
-        bits = [self._bit(scope, v) for v in phi.vars]
-        morphism, product = m.morphism, m.product
-
-        def step(state, key):
-            if state is None:
-                return None
-            base, marks = key
-            factors, segments = state
-            if not any(marks):
-                if base in (LEFT_MARK, RIGHT_MARK):
-                    return state
-                return factors[:-1] + (product(factors[-1], morphism[base]),), segments
-            if base in (LEFT_MARK, RIGHT_MARK) or any(s and mk for s, mk in zip(segments, marks)):
-                return None  # a cut on an endmarker, or a variable marked twice
-            cell = len(factors) + 1
-            return factors + (base, m.identity), tuple(
-                cell if mk else s for s, mk in zip(segments, marks)
-            )
-
-        return explore_dfa(
-            alpha,
-            lambda s: (s[0], tuple(s[1][b] for b in bits)),
-            ((m.identity,), (0,) * len(bits)),
-            step,
-            lambda state: state is not None and all(state[1]) and _run_truth(m, phi, *state),
-        )
+        names = tuple(dict.fromkeys(phi.vars))
+        own = _run_atom_dfa(m, phi, tuple(map(names.index, phi.vars)), self.base, self.marked)
+        bits = [self._bit(scope, v) for v in names]
+        return dfa_inverse_image(own, alpha, lambda s: (s[0], tuple([s[1][b] for b in bits])))
 
     def shape_dfa(self, nvars: int) -> Dfa:
         """Marked tapes: a single ^ first, a single $ last, letters between."""
@@ -867,6 +855,56 @@ class _Compiler:
             return 3
 
         return dense_dfa(self.alphabet_for(nvars), 4, 0, {2}, lambda s: s[0], step)
+
+
+def _run_atom_dfa(m: TransitionMonoid, phi: RunAtom, pattern: tuple, base: Alphabet, marked: bool) -> Dfa:
+    """The minimal DFA of a run atom at its own width, ``base x {0,1}^k``
+    for its ``k`` distinct variables; ``pattern`` numbers each variable of
+    the atom by its first use, so ``(reach M i j x x)`` has ``(0, 0)``.
+    Each atom is explored once per monoid and kept on it, as products are.
+    """
+    key = (phi.kind, phi.states, pattern, marked, base)
+    got = m._atoms.get(key)
+    if got is None:
+        alpha = marked_alphabet(base, len(set(pattern)), with_marks=marked)
+        got = m._atoms[key] = _explore_run_atom(m, phi, alpha, pattern)
+    return got
+
+
+def _explore_run_atom(m: TransitionMonoid, phi: RunAtom, alpha: Alphabet, bits) -> Dfa:
+    """The DFA of a run atom over a marked alphabet in which the variables
+    of the atom have the bits numbered ``bits``, in order.
+
+    It reads the cut factorization of the tape: a state holds the classes
+    and cut letters so far, the class being read last, and the segment of
+    each placed variable (0 before it is placed).  Final states are decided
+    by :func:`_run_truth`, as in evaluation.
+    """
+    morphism, product = m.morphism, m.product
+
+    def step(state, key):
+        if state is None:
+            return None
+        base, marks = key
+        factors, segments = state
+        if not any(marks):
+            if base in (LEFT_MARK, RIGHT_MARK):
+                return state
+            return factors[:-1] + (product(factors[-1], morphism[base]),), segments
+        if base in (LEFT_MARK, RIGHT_MARK) or any(s and mk for s, mk in zip(segments, marks)):
+            return None  # a cut on an endmarker, or a variable marked twice
+        cell = len(factors) + 1
+        return factors + (base, m.identity), tuple(
+            cell if mk else s for s, mk in zip(segments, marks)
+        )
+
+    return explore_dfa(
+        alpha,
+        lambda s: (s[0], tuple([s[1][b] for b in bits])),
+        ((m.identity,), (0,) * len(bits)),
+        step,
+        lambda state: state is not None and all(state[1]) and _run_truth(m, phi, *state),
+    )
 
 
 def compile_to_dfa(
@@ -883,17 +921,28 @@ def compile_to_dfa(
     formula under the induced assignment.  In marked mode the language
     consists of full tapes ``^ w $`` and variables may sit on endmarkers.
     """
+    return compile_to_dfas([phi], free_var_order, base_alphabet, registry, marked)[0]
+
+
+def compile_to_dfas(
+    formulas,
+    free_var_order,
+    base_alphabet: Alphabet,
+    registry: Optional[MonoidRegistry] = None,
+    marked: bool = False,
+) -> list:
+    """:func:`compile_to_dfa` of each formula, through one compiler, so that
+    a subformula the formulas share is compiled once."""
     scope = tuple(free_var_order)
-    missing = free_vars(phi) - set(scope)
-    if missing:
-        raise UnboundVariable(f"unbound variables: {sorted(missing)}")
+    for phi in formulas:
+        missing = free_vars(phi) - set(scope)
+        if missing:
+            raise UnboundVariable(f"unbound variables: {sorted(missing)}")
     comp = _Compiler(base_alphabet, registry, marked)
-    d = comp.compile(phi, scope)
+    valid = comp.shape_dfa(len(scope)) if marked else dfa_universal(comp.alphabet_for(len(scope)))
     for bit in range(len(scope)):
-        d = dfa_intersect(d, comp._exactly_one(len(scope), bit))
-    if marked:
-        d = dfa_intersect(d, comp.shape_dfa(len(scope)))
-    return d
+        valid = dfa_intersect(valid, comp._exactly_one(len(scope), bit))
+    return [dfa_intersect(comp.compile(phi, scope), valid) for phi in formulas]
 
 
 def mark_word(w, positions: dict, free_var_order, marked: bool = False):

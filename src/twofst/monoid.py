@@ -161,12 +161,23 @@ class TransitionMonoid:
     by_id: dict  # element id -> profile
     _products: dict = field(default_factory=dict, repr=False)
     _visits: dict = field(default_factory=dict, repr=False)  # run_visits answers
+    _atoms: dict = field(default_factory=dict, repr=False)  # run-atom DFAs of logic's compiler
 
     def product(self, x: BehaviorProfile, y: BehaviorProfile) -> BehaviorProfile:
+        """``x y``.  For two elements it walks ``x`` along the representative
+        word of ``y`` through the stored element x letter products, which
+        the closure filled in; other profiles, such as those of the
+        endmarkers, are glued."""
         key = (x, y)
         got = self._products.get(key)
         if got is None:
-            got = glue(x, y)
+            word = self.representatives.get(y)
+            if word is None or x not in self.representatives:
+                got = glue(x, y)
+            else:
+                got = x
+                for a in word:
+                    got = self._products[(got, self.morphism[a])]
             self._products[key] = got
         return got
 

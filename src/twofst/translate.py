@@ -47,7 +47,7 @@ from .logic import (
     Letter,
     MonoidRegistry,
     RunAtom,
-    compile_to_dfa,
+    compile_to_dfas,
     conj,
     disj,
     implies,
@@ -608,9 +608,9 @@ def fo_la_to_sf_la(
     transitions = []
     states = list(t.states)
 
-    for ti, tr in enumerate(t.transitions):
-        psi_hat = conj([tr.guard, tr.jump])
-        d = compile_to_dfa(psi_hat, ["x", "y"], base, registry, marked=True)
+    psi_hats = [conj([tr.guard, tr.jump]) for tr in t.transitions]
+    jumps = compile_to_dfas(psi_hats, ["x", "y"], base, registry, marked=True)
+    for ti, (tr, d) in enumerate(zip(t.transitions, jumps)):
         tab = _JumpTables(d, base)
         walk_r = {}
         walk_l = {}

@@ -456,6 +456,17 @@ def dfa_project_bit(d: Dfa, bit: int) -> Dfa:
     )
 
 
+def dfa_inverse_image(d: Dfa, alphabet_: Alphabet, image) -> Dfa:
+    """Minimal DFA over ``alphabet_`` that moves on each symbol ``a`` as
+    ``d`` moves on the symbol ``image(a)``: it accepts the words whose
+    letter-by-letter image ``d`` accepts."""
+    index, cls, rows = d.alphabet.index, d._cls, d._rows
+    finals = {q for q, f in enumerate(d._fin) if f}
+    return dfa_minimize(
+        dense_dfa(alphabet_, len(rows), d._init, finals, lambda a: cls[index[image(a)]], lambda q, c: rows[q][c])
+    )
+
+
 def dfa_universal(alphabet_: Alphabet, accept: bool = True) -> Dfa:
     return _dense(alphabet_, (0,) * len(alphabet_), ((0,),), 0, (bool(accept),), minimal=True)
 
@@ -604,8 +615,3 @@ def seq_run(t: SequentialTransducer, w) -> Optional[Word]:
     if q not in t.finals:
         return None
     return tuple(s for piece in pieces for s in piece)
-
-
-def seq_identity(alphabet_: Alphabet) -> SequentialTransducer:
-    rules = {(0, a): (0, (a,)) for a in alphabet_}
-    return make_seq((0,), alphabet_, alphabet_, 0, {0}, rules)

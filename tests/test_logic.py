@@ -40,10 +40,11 @@ from twofst.logic import (
     show_formula,
     subst_var,
 )
+from twofst.logic import _Compiler, _all_vars, _explore_run_atom, _fields, _fresh_var, _nodes
 from twofst.monoid import class_of, transition_monoid
-from twofst.words import dfa_accepts, dfa_is_counter_free
+from twofst.words import dfa_accepts, dfa_is_counter_free, dfa_same_language, marked_alphabet
 
-from conftest import data_path, random_formula, words_upto
+from conftest import budget, data_path, random_formula, words_upto
 
 
 def order_12():
@@ -391,6 +392,52 @@ def test_run_atoms_compile_as_they_evaluate(registry, marked):
                 assert session.eval(phi, sigma) == want, (show_formula(phi), scope, w, cells)
 
 
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_cached_run_atoms_lift_as_fresh_explorations(doubler, marked):
+    # each atom is explored once, at its own width, and kept on its monoid;
+    # lifted into a scope it equals the atom explored afresh over that scope,
+    # with its variables on every bit of a three-variable scope
+    m = transition_monoid(doubler)
+    reg = MonoidRegistry()
+    reg.register("M", m)
+    atoms = [
+        RunAtom("M", "accept", (), ()),
+        RunAtom("M", "visit", (1,), ("x",)),
+        RunAtom("M", "reach", (0, 2), ("x", "y")),
+        RunAtom("M", "reach", (0, 2), ("y", "x")),
+        RunAtom("M", "reach", (1, 1), ("x", "x")),
+    ]
+    scopes = [("x", "y", "z"), ("z", "x", "y"), ("y", "z", "x")]
+    alpha = marked_alphabet(AB, 3, with_marks=marked)
+    comp = _Compiler(AB, reg, marked)
+    for phi in atoms:
+        for scope in scopes:
+            fresh = _explore_run_atom(m, phi, alpha, [scope.index(v) for v in phi.vars])
+            assert dfa_same_language(comp.compile(phi, scope), fresh), (show_formula(phi), scope)
+    # x y and y x share one entry; x x has its own
+    assert [key[:4] for key in m._atoms] == [
+        ("accept", (), (), marked),
+        ("visit", (1,), (0,), marked),
+        ("reach", (0, 2), (0, 1), marked),
+        ("reach", (1, 1), (0, 0), marked),
+    ]
+
+
+def test_registries_of_one_machine_share_no_run_atom_dfas(doubler):
+    monoids = [transition_monoid(doubler), transition_monoid(doubler)]
+    registries = [MonoidRegistry(), MonoidRegistry()]
+    for reg, m in zip(registries, monoids):
+        reg.register("M", m)
+    phi = RunAtom("M", "reach", (0, 1), ("x", "y"))
+    first = compile_to_dfa(phi, ["x", "y"], AB, registries[0])
+    assert monoids[0]._atoms and not monoids[1]._atoms
+    second = compile_to_dfa(phi, ["x", "y"], AB, registries[1])
+    assert dfa_same_language(first, second)
+    assert monoids[0]._atoms.keys() == monoids[1]._atoms.keys()
+    for key, d in monoids[0]._atoms.items():
+        assert monoids[1]._atoms[key] is not d
+
+
 def _run_cells(t, w, state, pos):
     """Configurations of the run of ``t`` on ``^ w $`` from ``(state, pos)``,
     stepped one transition at a time until it stops or repeats."""
@@ -521,3 +568,73 @@ def test_shared_dag_stays_polynomial():
         want = w[y - 1] == "b" and (x <= y or w[x - 1] == "a")
         assert session.eval(f, {"x": x, "y": y}) == want, (x, y)
     assert len(session._memo) <= nodes * n * n
+
+
+def _shared_dag(depth, side=Letter("a", "x")):
+    """The DAG of ``test_shared_dag_stays_polynomial``, with ``side`` for its
+    atom ``a(x)``: ``3 * depth + 3`` nodes, and more if ``side`` has more."""
+    le, f = Le("x", "y"), Letter("b", "y")
+    for _ in range(depth):
+        f = Or((And((f, le)), And((f, side))))
+    return f
+
+
+# a binder shared by every level of the DAG
+BOUND_SIDE = Exists("u0", And((Le("x", "u0"), Letter("a", "u0"))))
+
+
+def naive_subst(phi, renaming):
+    """Renaming without a memo: every path to a shared node renames it."""
+    free = free_vars(phi)
+    renaming = {old: new for old, new in renaming.items() if old in free and old != new}
+    if not renaming:
+        return phi
+    values = []
+    for value, role in _fields(phi):
+        if role == "bound" and value in renaming.values():
+            fresh = _fresh_var(value, _all_vars(phi).union(renaming, renaming.values()))
+            renaming = {**renaming, value: fresh}
+        if role in ("var", "bound"):
+            value = renaming.get(value, value)
+        elif role == "vars":
+            value = tuple(renaming.get(v, v) for v in value)
+        elif role == "sub":
+            value = naive_subst(value, renaming)
+        elif role == "subs":
+            value = tuple(naive_subst(a, renaming) for a in value)
+        values.append(value)
+    return type(phi)(*values)
+
+
+RENAMINGS = [{"y": "z"}, {"x": "y", "y": "x"}, {"x": "u0"}, {"y": "u0", "x": "u0_1"}]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 8])
+def test_subst_var_agrees_with_renaming_every_path(depth):
+    # a node shared inside and outside a binder that captures a new name is
+    # renamed differently on the two paths
+    shared = Le("x", "y")
+    capturing = And((shared, Exists("y", And((shared, Letter("a", "y"))))))
+    for phi in (_shared_dag(depth), _shared_dag(depth, BOUND_SIDE), _shared_dag(depth, capturing)):
+        for renaming in RENAMINGS:
+            assert subst_var(phi, renaming) == naive_subst(phi, renaming), renaming
+    rng = random.Random(depth)
+    for _ in range(20):
+        phi = random_formula(rng, ["x", "y"], 4)
+        for renaming in RENAMINGS:
+            assert subst_var(phi, renaming) == naive_subst(phi, renaming), (show_formula(phi), renaming)
+
+
+@pytest.mark.parametrize("side, nodes", [(Letter("a", "x"), 57), (BOUND_SIDE, 60)], ids=["atom", "binder"])
+def test_subst_var_renames_a_deep_dag_once_per_node(side, nodes):
+    # renaming every path of this 18-level DAG takes seconds; each of its
+    # nodes is renamed once
+    phi = _shared_dag(18, side)
+    for renaming in RENAMINGS:
+        with budget(f"renaming {renaming}", 0.5):
+            renamed = subst_var(phi, renaming)
+        # counted apart, so that a failure does not print the unfolding
+        sizes = len(_nodes(phi)), len(_nodes(renamed))
+        assert sizes == (nodes, nodes)
+        free = free_vars(renamed)
+        assert free == {renaming.get(v, v) for v in ("x", "y")}

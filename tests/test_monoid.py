@@ -18,7 +18,7 @@ from twofst.monoid import (
     transition_monoid,
 )
 from twofst.twoway import behaviors, make_twoway, pumped_context_path, simulate, tape_symbol
-from twofst.words import dfa_accepts
+from twofst.words import aperiodicity_index, dfa_accepts
 
 from conftest import _random_machine, budget, crossing_oracle, words_upto
 
@@ -405,6 +405,21 @@ def test_product_associative_all_triples(doubler_monoid):
             xy = m.product(x, y)
             for z in m.elements:
                 assert m.product(xy, z) == m.product(x, m.product(y, z))
+
+
+def test_products_walk_as_they_glue(doubler, doubler_plain):
+    # a product of two elements walks the stored element x letter products;
+    # it equals gluing, and so does a product with an endmarker profile,
+    # which is glued; the aperiodicity reports agree, periodic monoid included
+    for t in (doubler, parity_twoway(), copier()):
+        m = transition_monoid(t)
+        profiles = [*m.elements, m.morphism["^"], m.morphism["$"]]
+        for x in profiles:
+            for y in profiles:
+                assert m.product(x, y) == glue(x, y)
+    for t in (doubler, parity_twoway(), doubler_plain):
+        m = transition_monoid(t)
+        assert is_aperiodic(m) == aperiodicity_index(m.elements, m.identity, glue)
 
 
 def test_class_of_aab_matches_direct_profile(doubler, doubler_monoid):

@@ -614,7 +614,7 @@ def test_fot_to_twoway_output_independent_of_hash_seed():
 
 def test_round_trip_running_example(doubler):
     reg = MonoidRegistry()
-    with budget("running-example round trip", 60.0):
+    with budget("running-example round trip", 10.0):
         T = twoway_to_fot(doubler, reg, "M")
         rt = fot_to_twoway(T, reg, bound=2)
     for w in words_upto(4, min_len=1):

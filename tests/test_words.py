@@ -1,11 +1,12 @@
 import random
+from itertools import product
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from twofst.machines import AB
+from twofst.machines import AB, identity_seq
 from twofst.words import (
     AlphabetError,
     SymbolNotInAlphabet,
@@ -15,6 +16,7 @@ from twofst.words import (
     dfa_accepts,
     dfa_complement,
     dfa_intersect,
+    dfa_inverse_image,
     dfa_is_counter_free,
     dfa_language_upto,
     dfa_minimize,
@@ -27,7 +29,6 @@ from twofst.words import (
     make_dfa,
     make_seq,
     marked_alphabet,
-    seq_identity,
     seq_run,
     show_word,
 )
@@ -81,6 +82,25 @@ def test_combine_boolean_algebra():
     dd = dfa_complement(dfa_complement(d))
     for w in words_upto(6):
         assert dfa_accepts(dd, w) == dfa_accepts(d, w)
+
+
+def test_inverse_image_reads_each_symbol_through_the_map():
+    # words over a x {0,1}^2 whose letters, read with the marks dropped,
+    # contain "ab"; the image DFA has fewer classes than the marked alphabet
+    contains_ab = dense_dfa(AB, 3, 0, {2}, lambda s: s, lambda q, a: 2 if q == 2 else (1 if a == "a" else 2 * (q == 1)))
+    marked = marked_alphabet(AB, 2)
+    lifted = dfa_inverse_image(contains_ab, marked, lambda s: s[0])
+    assert lifted.alphabet is marked
+    for w in words_upto(3):
+        for marks in product(product((0, 1), repeat=2), repeat=len(w)):
+            tape = tuple(zip(w, marks))
+            assert dfa_accepts(lifted, tape) == ("ab" in "".join(w)), tape
+    # the result is canonical: equal to the minimal DFA built directly
+    direct = dense_dfa(marked, 3, 0, {2}, lambda s: s[0], lambda q, a: 2 if q == 2 else (1 if a == "a" else 2 * (q == 1)))
+    assert dfa_table(lifted) == dfa_table(direct) == (marked, lifted._cls, lifted._rows, lifted._fin)
+    # states the image never reaches are dropped, and the rest merged
+    never_b = dfa_inverse_image(contains_ab, marked, lambda s: "a")
+    assert len(never_b.states) == 1 and not never_b.finals
 
 
 def test_project_bit():
@@ -176,7 +196,7 @@ def test_dense_dfa_builds_from_symbol_keys():
 
 
 def test_seq_run_examples():
-    ident = seq_identity(AB)
+    ident = identity_seq()
     assert seq_run(ident, "aab") == as_word("aab")
     erase = make_seq((0,), AB, AB, 0, {0}, {(0, "a"): (0, "a"), (0, "b"): (0, "")})
     assert show_word(seq_run(erase, "aabab")) == "aaa"
