@@ -317,35 +317,38 @@ def subst_var(phi: Formula, renaming: dict) -> Formula:
     ``renaming[old]``; a binder that would capture a new name is renamed
     to a fresh variable first.  A subformula shared in the DAG is renamed
     once per renaming that reaches it."""
-    memo = {}  # (id of node, renaming of its free variables) -> renamed node
+    return _rename(phi, renaming, {})
 
-    def rename(f, renaming):
-        free = free_vars(f)
-        renaming = {old: new for old, new in renaming.items() if old in free and old != new}
-        if not renaming:
-            return f
-        key = (id(f), tuple(sorted(renaming.items())))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        values = []
-        for value, role in _fields(f):
-            if role == "bound" and value in renaming.values():
-                fresh = _fresh_var(value, _all_vars(f).union(renaming, renaming.values()))
-                renaming = {**renaming, value: fresh}
-            if role in ("var", "bound"):
-                value = renaming.get(value, value)
-            elif role == "vars":
-                value = tuple(renaming.get(v, v) for v in value)
-            elif role == "sub":
-                value = rename(value, renaming)
-            elif role == "subs":
-                value = tuple(rename(a, renaming) for a in value)
-            values.append(value)
-        got = memo[key] = type(f)(*values)
+
+def _rename(f: Formula, renaming: dict, memo: dict) -> Formula:
+    """:func:`subst_var` with ``memo`` mapping (id of node, renaming of its
+    free variables) to the renamed node.  The memo is passed down rather
+    than closed over, so a call leaves no reference cycle behind for the
+    garbage collector."""
+    free = free_vars(f)
+    renaming = {old: new for old, new in renaming.items() if old in free and old != new}
+    if not renaming:
+        return f
+    key = (id(f), tuple(sorted(renaming.items())))
+    got = memo.get(key)
+    if got is not None:
         return got
-
-    return rename(phi, renaming)
+    values = []
+    for value, role in _fields(f):
+        if role == "bound" and value in renaming.values():
+            fresh = _fresh_var(value, _all_vars(f).union(renaming, renaming.values()))
+            renaming = {**renaming, value: fresh}
+        if role in ("var", "bound"):
+            value = renaming.get(value, value)
+        elif role == "vars":
+            value = tuple(renaming.get(v, v) for v in value)
+        elif role == "sub":
+            value = _rename(value, renaming, memo)
+        elif role == "subs":
+            value = tuple(_rename(a, renaming, memo) for a in value)
+        values.append(value)
+    got = memo[key] = type(f)(*values)
+    return got
 
 
 def _fresh_var(base: str, taken: frozenset) -> str:

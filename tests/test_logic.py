@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import fields, replace
 from itertools import product
@@ -638,3 +639,19 @@ def test_subst_var_renames_a_deep_dag_once_per_node(side, nodes):
         assert sizes == (nodes, nodes)
         free = free_vars(renamed)
         assert free == {renaming.get(v, v) for v in ("x", "y")}
+
+
+def test_subst_var_leaves_no_cyclic_garbage():
+    # the memo lives only as long as the call: nothing is left for the
+    # cyclic collector, so the cost of a renaming is paid inside it
+    phi = _shared_dag(5, BOUND_SIDE)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for renaming in RENAMINGS:
+            subst_var(phi, renaming)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
