@@ -407,11 +407,10 @@ def serialize_machine(t: TwoWayTransducer) -> str:
     symbols = tuple(t.in_alphabet) + (LEFT_MARK, RIGHT_MARK)
     for q in t.states:
         for a in symbols:
-            if (q, a) in t.step:
-                r, move = t.step[(q, a)]
-                prod = _show_prod(t.out[(q, a)])
+            if (q, a) in t.rules:
+                r, prod, move = t.rules[(q, a)]
                 mv = "+1" if move == 1 else str(move)
-                out.append(f"{names[q]} {show_symbol(a)} -> {names[r]} / {prod} {mv}")
+                out.append(f"{names[q]} {show_symbol(a)} -> {names[r]} / {_show_prod(prod)} {mv}")
     return "\n".join(out) + "\n"
 
 
@@ -420,11 +419,9 @@ def serialize_seq(t: SequentialTransducer) -> str:
     out = _head("seq", t, names)
     for q in t.states:
         for a in t.in_alphabet:
-            if (q, a) in t.step:
-                out.append(
-                    f"{names[q]} {show_symbol(a)} -> {names[t.step[(q, a)]]}"
-                    f" / {_show_prod(t.out[(q, a)])}"
-                )
+            if (q, a) in t.rules:
+                r, prod = t.rules[(q, a)]
+                out.append(f"{names[q]} {show_symbol(a)} -> {names[r]} / {_show_prod(prod)}")
     return "\n".join(out) + "\n"
 
 

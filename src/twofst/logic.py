@@ -15,6 +15,7 @@ finite Boolean combinations of class atoms and stay first-order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import count
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -76,6 +77,17 @@ class RegistryError(ValueError):
 class Formula:
     # evaluation plan, built on first use from the children's plans
     _plan: Optional["_Plan"] = field(default=None, init=False, repr=False, compare=False)
+    # hash, computed on first use from the children's hashes, so that hashing
+    # a shared DAG visits each node once
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        got = self._hash
+        if got is None:
+            values = [getattr(self, name) for name, _ in _FIELDS[type(self)]]
+            got = hash((type(self).__name__, *values))
+            object.__setattr__(self, "_hash", got)
+        return got
 
     def __and__(self, other):
         return conj([self, other])
@@ -201,6 +213,10 @@ _FIELDS = {  # (field name, role) pairs of each kind
     kind: tuple(zip([f.name for f in fields(kind) if f.init], roles, strict=True))
     for kind, (_, roles) in _SHAPES.items()
 }
+# dataclass gave each kind a hash over its fields, which walks the whole
+# subtree on every call; each kind keeps the cached one instead
+for _kind in _SHAPES:
+    _kind.__hash__ = Formula.__hash__
 _BY_OPERATOR = {op: kind for kind, (op, _) in _SHAPES.items() if op} | dict.fromkeys(_RUN_ARITY, RunAtom)
 
 
@@ -455,15 +471,20 @@ def _plan(phi: Formula) -> _Plan:
     return got
 
 
+_PLAN_NUMBERS = count()  # never reused, unlike ``id`` of a collected plan
+
+
 def _memoized(free, compute) -> _Plan:
-    """``compute`` behind the session memo, keyed by ``compute`` itself (not
-    by ``run``, which would make ``run`` a reference cycle) and the values
-    of the node's free variables."""
+    """``compute`` behind the session memo, keyed by a number of its own and
+    the values of the node's free variables.  The cyclic collector stops
+    tracking keys of numbers only (a function in a key would keep it
+    tracked), so a large memo costs no collection time."""
     names = tuple(sorted(free))
     values = itemgetter(*names) if names else lambda sigma: ()
+    number = next(_PLAN_NUMBERS)
 
     def run(s, sigma):
-        key = (compute, values(sigma))
+        key = (number, values(sigma))
         memo = s._memo
         got = memo.get(key)
         if got is None:

@@ -30,6 +30,7 @@ from .words import (
     dfa_universal,
     explore_dfa,
     make_seq,
+    monoid_closure,
 )
 from .twoway import (
     TwoWayTransducer,
@@ -130,6 +131,10 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
 
     key = _pair_key(a)
 
+    def step(q, x):  # the one-way machine's next state, None where it blocks
+        row = a.rules.get((q, x))
+        return row and row[0]
+
     while queue:
         r = queue.popleft()
         mode = r[0]
@@ -139,10 +144,9 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
                 if head == RIGHT_MARK and p in b.finals:
                     emit(r, x, ("r5", p, q), (), 0)
                     continue
-                if (p, head) not in b.step:
+                if (p, head) not in b.rules:
                     continue
-                p2, d = b.step[(p, head)]
-                out = b.out[(p, head)]
+                p2, out, d = b.rules[(p, head)]
                 if d == 0:
                     emit(r, x, ("r1", p2, q, left, head, right), out, 0)
                 elif d == 1 and right:
@@ -150,7 +154,7 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
                 elif d == 1:
                     if x == RIGHT_MARK:
                         continue  # the inner head cannot pass the inner end
-                    q2 = a.step.get((q, x)) if x != LEFT_MARK else q
+                    q2 = step(q, x) if x != LEFT_MARK else q
                     if q2 is None:
                         continue
                     emit(r, x, ("hr", p2, q2), out, 1)
@@ -170,13 +174,13 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
                     if q in a.finals:
                         emit(r, x, ("r1", p, q, (), RIGHT_MARK, ()), (), 0)
                     continue
-                if (q, x) not in a.step:
+                if (q, x) not in a.rules:
                     continue
-                g = a.out[(q, x)]
+                q2, g = a.rules[(q, x)]
                 if g:
                     emit(r, x, ("r1", p, q, (), g[0], g[1:]), (), 0)
                 else:
-                    emit(r, x, ("hr", p, a.step[(q, x)]), (), 1)
+                    emit(r, x, ("hr", p, q2), (), 1)
             elif mode == "rw":
                 # the inner head moved left out of the window: rebuild the
                 # previous nonempty block; q = one-way state after this letter
@@ -188,11 +192,11 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
                 if x == RIGHT_MARK:
                     continue
                 cands = tuple(
-                    s for s in a.states if a.step.get((s, x)) == q
+                    s for s in a.states if step(s, x) == q
                 )
                 if len(cands) == 1:
                     s = cands[0]
-                    g = a.out[(s, x)]
+                    g = a.rules[(s, x)][1]
                     if g:
                         emit(r, x, ("r1", p, s, g[:-1], g[-1], ()), (), 0)
                     else:
@@ -221,7 +225,7 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
                     (c, s)
                     for (c, s2) in rel
                     for s in a.states
-                    if a.step.get((s, x)) == s2
+                    if step(s, x) == s2
                 )
                 remaining = {c for (c, _) in nrel}
                 if not remaining:
@@ -240,13 +244,12 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
                 _, p, q_target, q1, q2 = r
                 if x in (LEFT_MARK, RIGHT_MARK):
                     continue
-                if (q1, x) not in a.step or (q2, x) not in a.step:
+                if (q1, x) not in a.rules or (q2, x) not in a.rules:
                     continue
-                s1, s2 = a.step[(q1, x)], a.step[(q2, x)]
+                (s1, g), s2 = a.rules[(q1, x)], a.rules[(q2, x)][0]
                 if s1 != s2:
                     emit(r, x, ("r3", p, q_target, s1, s2), (), 1)
                 else:
-                    g = a.out[(q1, x)]
                     if g:
                         emit(r, x, ("r1", p, q1, g[:-1], g[-1], ()), (), 0)
                     else:
@@ -285,7 +288,8 @@ def twoway_to_fot(
 ) -> FoTransduction:
     """FO transduction equivalent to an aperiodic two-way transducer.
 
-    Copies are the (normalized) states; a node ``(q, i)`` exists when the
+    Copies are the (normalized) states that produce a letter, in state
+    order, as no other state has nodes; a node ``(q, i)`` exists when the
     accepting run visits ``(q, i)`` and produces a letter there; the order
     formula decides whether the run continued from one visited configuration
     reaches another.  Each decision is one run atom over the registered
@@ -304,7 +308,8 @@ def twoway_to_fot(
         for cell, mark in ((0, LEFT_MARK), (2, RIGHT_MARK)):
             for i in run_visits(m, (e,), start, cell):
                 q = t.states[i]
-                if t.out.get((q, mark)) and not (mark == RIGHT_MARK and q in t.finals):
+                row = t.rules.get((q, mark))
+                if row and row[1] and not (mark == RIGHT_MARK and q in t.finals):
                     raise UnsupportedProduction(
                         f"the run of class {m.element_id(e)!r} produces output on {mark}"
                     )
@@ -313,20 +318,25 @@ def twoway_to_fot(
     pos = {}
     for q in t.states:
         for b in t.out_alphabet:
-            sources = [Letter(a, "x") for a in t.in_alphabet if t.out.get((q, a)) == (b,)]
+            sources = [
+                Letter(a, "x")
+                for a in t.in_alphabet
+                if (q, a) in t.rules and t.rules[(q, a)][1] == (b,)
+            ]
             if sources:
                 visit = RunAtom(monoid_name, "visit", (index[q],), ("x",))
                 pos[(q, b)] = conj([visit, disj(sources)])
+    copies = tuple(dict.fromkeys(q for q, _ in pos))  # the producing states, in state order
     order = {
         (q, q2): RunAtom(monoid_name, "reach", (index[q], index[q2]), ("x", "y"))
-        for q in t.states
-        for q2 in t.states
+        for q in copies
+        for q2 in copies
     }
     return FoTransduction(
         in_alphabet=t.in_alphabet,
         out_alphabet=t.out_alphabet,
         dom=RunAtom(monoid_name, "accept", (), ()),
-        copies=tuple(t.states),
+        copies=copies,
         pos=pos,
         order=order,
     )
@@ -464,6 +474,7 @@ class _JumpTables:
     def __init__(self, d: Dfa, base: Alphabet):
         self.d = d
         self.base = base
+        self.letters = {a: a for a in base}  # the generators of each exploration
         self.after_mark = d.delta[(d.initial, (LEFT_MARK, self.ZERO))]
 
     def step(self, s, sym, bits):
@@ -473,15 +484,7 @@ class _JumpTables:
         return self.step(s, a, self.ZERO)
 
     def reachable_prefix_states(self):
-        seen = {self.after_mark}
-        queue = deque([self.after_mark])
-        while queue:
-            s = queue.popleft()
-            for a in self.base:
-                t = self.zero(s, a)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+        seen = monoid_closure(self.after_mark, self.letters, self.zero)
         return tuple(sorted(seen, key=self.d.states.index))
 
     def prefix_language(self, s1) -> Dfa:
@@ -500,40 +503,15 @@ class _JumpTables:
 
     def vector_space(self):
         """Suffix-acceptance vectors reachable from the end of the tape."""
-        seed = self.end_vector()
-        seen = {seed: None}  # insertion-ordered
-        queue = deque([seed])
-        while queue:
-            v = queue.popleft()
-            for a in self.base:
-                w = self.pre_vector(v, a)
-                if w not in seen:
-                    seen[w] = None
-                    queue.append(w)
-        return tuple(seen)
+        return tuple(monoid_closure(self.end_vector(), self.letters, self.pre_vector))
 
     def vector_language(self, vec: frozenset) -> Dfa:
-        """Words whose suffix-acceptance vector equals ``vec``.
-
-        Tracked through the action maps of the zero-bit transitions.
-        """
-        ident = tuple(range(len(self.d.states)))
-        idx = {s: i for i, s in enumerate(self.d.states)}
-        actions = {
-            a: tuple(idx[self.zero(s, a)] for s in self.d.states) for a in self.base
-        }
-        end = self.end_vector()
-
-        def delta(h, a):
-            g = actions[a]
-            return tuple(g[i] for i in h)
-
-        def vec_of(h):
-            return frozenset(
-                s for s in self.d.states if self.d.states[h[idx[s]]] in end
-            )
-
-        return explore_dfa(self.base, lambda a: a, ident, delta, lambda h: vec_of(h) == vec)
+        """Words whose suffix-acceptance vector equals ``vec``: the reversal
+        of the vectors' own DFA, which reads a suffix from its end."""
+        backward = explore_dfa(
+            self.base, lambda a: a, self.end_vector(), self.pre_vector, lambda v: v == vec
+        )
+        return dfa_reverse(backward)
 
     def direction_right_language(self, s2) -> Dfa:
         """Suffixes admitting a later y placement accepted by the jump DFA."""
@@ -552,38 +530,22 @@ class _JumpTables:
 
         return determinize_nfa(self.base, [(s2, 0)], nfa_finals, moves)
 
-    def sigma_tracking(self):
-        """Deterministic tracking of (no-y state, y-somewhere state set).
+    # Deterministic tracking of (no-y state, y-somewhere state set).  The y
+    # mark may sit on the left endmarker or on any prefix letter.
 
-        The y mark may sit on the left endmarker or on any prefix letter.
-        """
-        start = (
-            self.after_mark,
-            frozenset({self.step(self.d.initial, LEFT_MARK, self.YB)}),
-        )
-        seen = {start}
-        queue = deque([start])
-        states = [start]
-        sub = {}
-        while queue:
-            (s, sig) = queue.popleft()
-            for a in self.base:
-                t = self.zero(s, a)
-                nsig = frozenset(self.zero(u, a) for u in sig) | {
-                    self.step(s, a, self.YB)
-                }
-                nxt = (t, nsig)
-                sub[((s, sig), a)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    states.append(nxt)
-                    queue.append(nxt)
-        return tuple(states), sub, start
+    def sigma_start(self):
+        return (self.after_mark, frozenset({self.step(self.d.initial, LEFT_MARK, self.YB)}))
 
-    def sigma_language(self, states, sub, start, target) -> Dfa:
-        return dfa_minimize(
-            Dfa(tuple(states), self.base, start, frozenset({target}), dict(sub))
-        )
+    def sigma_step(self, state, a):
+        s, sig = state
+        return self.zero(s, a), frozenset(self.zero(u, a) for u in sig) | {self.step(s, a, self.YB)}
+
+    def sigma_space(self):
+        return tuple(monoid_closure(self.sigma_start(), self.letters, self.sigma_step))
+
+    def sigma_language(self, target) -> Dfa:
+        start = self.sigma_start()
+        return explore_dfa(self.base, lambda a: a, start, self.sigma_step, lambda s: s == target)
 
 
 def fo_la_to_sf_la(
@@ -631,11 +593,8 @@ def fo_la_to_sf_la(
         def prefix_test(s1):
             return univ if only_prefix else tab.prefix_language(s1)
 
-        sigma_states, sigma_sub, sigma_start = tab.sigma_tracking()
-        sigma_reach = sigma_states
-        sigma_lang = cache(
-            lambda target: tab.sigma_language(sigma_states, sigma_sub, sigma_start, target)
-        )
+        sigma_reach = tab.sigma_space()
+        sigma_lang = cache(tab.sigma_language)
         vec_lang = cache(tab.vector_language)
         suffix_acc = cache(tab.suffix_accepts_from)
 
@@ -984,7 +943,7 @@ def sf_la_to_plain(t: SfLookAroundTransducer) -> TwoWayTransducer:
         t.out_alphabet,
         t.initial,
         core_finals,
-        {k: (v[0], v[1], v[2]) for k, v in core_rules.items()},
+        core_rules,
     )
 
     core = merge_equivalent(core)

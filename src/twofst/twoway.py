@@ -7,7 +7,7 @@ if a transition on ``$`` is defined, which keeps acceptance decidable
 without look-ahead.
 
 Runs step a dense integer table (``TwoWayTransducer.table``), built on first
-use; the ``step`` and ``out`` mappings are read-only, so it cannot go stale.
+use; the ``rules`` mapping is read-only, so it cannot go stale.
 """
 from __future__ import annotations
 
@@ -56,21 +56,18 @@ class TwoWayTransducer:
     out_alphabet: Alphabet
     initial: object
     finals: frozenset
-    step: Mapping  # (state, symbol) -> (state, move), read-only
-    out: Mapping  # (state, symbol) -> output word, read-only
+    rules: Mapping  # (state, symbol) -> (next state, output word, move), read-only
     _table: Optional[StepTable] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "step", MappingProxyType(dict(self.step)))
-        object.__setattr__(self, "out", MappingProxyType(dict(self.out)))
-        if set(self.step) != set(self.out):
-            raise TwoWayError("step and produce must share their domain")
+        rules = {k: (r, as_word(out), move) for k, (r, out, move) in self.rules.items()}
+        object.__setattr__(self, "rules", MappingProxyType(rules))
         if self.initial not in self.states:
             raise TwoWayError("initial state missing from state set")
         states = set(self.states)
         if not self.finals <= states:
             raise TwoWayError("final states must be a subset of states")
-        for (q, a), (r, move) in self.step.items():
+        for (q, a), (r, _, move) in rules.items():
             if move not in (-1, 0, 1):
                 raise TwoWayError(f"illegal move {move!r}")
             if a == LEFT_MARK and move == -1:
@@ -81,7 +78,7 @@ class TwoWayTransducer:
                 raise TwoWayError(f"transition ({q!r}, {a!r}) leaves the state set")
             if a not in self.in_alphabet and a not in (LEFT_MARK, RIGHT_MARK):
                 raise TwoWayError(f"transition ({q!r}, {a!r}) reads a symbol outside the alphabet")
-        if not all(b in self.out_alphabet for w in set(self.out.values()) for b in w):
+        if not all(b in self.out_alphabet for _, w, _ in rules.values() for b in w):
             raise TwoWayError("a transition writes a symbol outside the output alphabet")
 
     @property
@@ -100,24 +97,17 @@ def _step_table(t: TwoWayTransducer) -> StepTable:
     width = len(symbols)
     index = {q: i for i, q in enumerate(t.states)}
     rows = [None] * (len(t.states) * width)
-    for (q, a), (r, move) in t.step.items():
+    for (q, a), (r, out, move) in t.rules.items():
         if a != RIGHT_MARK or q not in t.finals:
-            rows[index[q] * width + symbols[a]] = (index[r] * width, move, t.out[(q, a)], r)
+            rows[index[q] * width + symbols[a]] = (index[r] * width, move, out, r)
     return StepTable(width, symbols, index, rows, [q in t.finals for q in t.states])
 
 
 def make_twoway(states, in_alphabet, out_alphabet, initial, finals, rules) -> TwoWayTransducer:
-    """``rules`` maps (state, symbol) -> (next_state, output, move)."""
-    step = {k: (v[0], v[2]) for k, v in rules.items()}
-    out = {k: as_word(v[1]) for k, v in rules.items()}
+    """The machine of ``rules``, (state, symbol) -> (next state, output,
+    move); states and finals may be any iterables, an output a string."""
     return TwoWayTransducer(
-        tuple(states),
-        in_alphabet,
-        out_alphabet,
-        initial,
-        frozenset(finals),
-        step,
-        out,
+        tuple(states), in_alphabet, out_alphabet, initial, frozenset(finals), rules
     )
 
 
@@ -301,7 +291,7 @@ def pumped_context_path(t: TwoWayTransducer, v, u, w, n: int) -> Optional[Contex
 
 
 def is_normalized(t: TwoWayTransducer) -> bool:
-    return all(len(v) <= 1 for v in t.out.values())
+    return all(len(v) <= 1 for _, v, _ in t.rules.values())
 
 
 def normalize(t: TwoWayTransducer) -> TwoWayTransducer:
@@ -320,8 +310,7 @@ def normalize(t: TwoWayTransducer) -> TwoWayTransducer:
         emit_states[key] = True
         return key
 
-    for (q, a), (r, move) in t.step.items():
-        v = t.out[(q, a)]
+    for (q, a), (r, v, move) in t.rules.items():
         if len(v) <= 1:
             rules[(q, a)] = (r, v, move)
         else:
@@ -367,24 +356,24 @@ def mirror(t: TwoWayTransducer) -> TwoWayTransducer:
         rules[(drain, a)] = (drain, (), 1)
     rules[(drain, LEFT_MARK)] = (drain, (), 1)
     # arriving at $ in seek mode: fire the original transition on ^
-    if (t.initial, LEFT_MARK) in t.step:
-        (r, move) = t.step[(t.initial, LEFT_MARK)]
-        rules[(seek, RIGHT_MARK)] = (sim[r], t.out[(t.initial, LEFT_MARK)], -move)
+    if (t.initial, LEFT_MARK) in t.rules:
+        r, out, move = t.rules[(t.initial, LEFT_MARK)]
+        rules[(seek, RIGHT_MARK)] = (sim[r], out, -move)
     for q in t.states:
         for a in t.in_alphabet:
-            if (q, a) in t.step:
-                r, move = t.step[(q, a)]
-                rules[(sim[q], a)] = (sim[r], t.out[(q, a)], -move)
+            if (q, a) in t.rules:
+                r, out, move = t.rules[(q, a)]
+                rules[(sim[q], a)] = (sim[r], out, -move)
         # mirrored right endmarker = original left endmarker
-        if (q, LEFT_MARK) in t.step:
-            r, move = t.step[(q, LEFT_MARK)]
-            rules[(sim[q], RIGHT_MARK)] = (sim[r], t.out[(q, LEFT_MARK)], -move)
+        if (q, LEFT_MARK) in t.rules:
+            r, out, move = t.rules[(q, LEFT_MARK)]
+            rules[(sim[q], RIGHT_MARK)] = (sim[r], out, -move)
         # mirrored left endmarker = original right endmarker
         if q in t.finals:
             rules[(sim[q], LEFT_MARK)] = (drain, (), 1)
-        elif (q, RIGHT_MARK) in t.step:
-            r, move = t.step[(q, RIGHT_MARK)]
-            rules[(sim[q], LEFT_MARK)] = (sim[r], t.out[(q, RIGHT_MARK)], -move)
+        elif (q, RIGHT_MARK) in t.rules:
+            r, out, move = t.rules[(q, RIGHT_MARK)]
+            rules[(sim[q], LEFT_MARK)] = (sim[r], out, -move)
     states = (seek, drain) + tuple(sim.values())
     return make_twoway(
         states, t.in_alphabet, t.out_alphabet, seek, {drain}, rules
@@ -394,7 +383,7 @@ def mirror(t: TwoWayTransducer) -> TwoWayTransducer:
 def trim(t: TwoWayTransducer) -> TwoWayTransducer:
     """Restrict to states syntactically reachable from the initial state."""
     targets = {}
-    for (p, _), (r, _) in t.step.items():
+    for (p, _), (r, _, _) in t.rules.items():
         targets.setdefault(p, []).append(r)
     reach = {t.initial}
     frontier = [t.initial]
@@ -406,11 +395,7 @@ def trim(t: TwoWayTransducer) -> TwoWayTransducer:
     if len(reach) == len(t.states):
         return t
     states = tuple(q for q in t.states if q in reach)
-    rules = {
-        (q, a): (r, t.out[(q, a)], move)
-        for (q, a), (r, move) in t.step.items()
-        if q in reach
-    }
+    rules = {(q, a): row for (q, a), row in t.rules.items() if q in reach}
     return make_twoway(
         states, t.in_alphabet, t.out_alphabet, t.initial, t.finals & reach, rules
     )
@@ -423,8 +408,8 @@ def merge_equivalent(t: TwoWayTransducer) -> TwoWayTransducer:
     index = {q: i for i, q in enumerate(t.states)}
     kinds, block, rows = {}, [], []
     for q in t.states:
-        got = [t.step.get((q, a)) for a in symbols]
-        kind = (q in t.finals, *[g and (t.out[(q, a)], g[1]) for a, g in zip(symbols, got)])
+        got = [t.rules.get((q, a)) for a in symbols]
+        kind = (q in t.finals, *[g and g[1:] for g in got])
         block.append(kinds.setdefault(kind, len(kinds)))
         rows.append([index[g[0]] for g in got if g])  # kind already tells where q blocks
     block = refine(block, rows)
@@ -435,9 +420,9 @@ def merge_equivalent(t: TwoWayTransducer) -> TwoWayTransducer:
         rep.setdefault(b, q)
     rename = {q: rep[b] for q, b in zip(t.states, block)}
     rules = {}
-    for (q, a), (r, move) in t.step.items():
+    for (q, a), (r, out, move) in t.rules.items():
         if rename[q] == q:
-            rules[(q, a)] = (rename[r], t.out[(q, a)], move)
+            rules[(q, a)] = (rename[r], out, move)
     states = tuple(rep.values())
     finals = {rename[f] for f in t.finals}
     return make_twoway(

@@ -471,22 +471,6 @@ def dfa_universal(alphabet_: Alphabet, accept: bool = True) -> Dfa:
     return _dense(alphabet_, (0,) * len(alphabet_), ((0,),), 0, (bool(accept),), minimal=True)
 
 
-def dfa_only_word(alphabet_: Alphabet, w) -> Dfa:
-    """DFA accepting exactly the single word ``w``."""
-    w = as_word(w)
-    n = len(w)
-    sink = n + 1
-    states = tuple(range(n + 2))
-    delta = {}
-    for i in range(n + 2):
-        for a in alphabet_:
-            if i < n and a == w[i]:
-                delta[(i, a)] = i + 1
-            else:
-                delta[(i, a)] = sink
-    return dfa_minimize(Dfa(states, alphabet_, 0, frozenset({n}), delta))
-
-
 # ---------------------------------------------------------------------------
 # Finite monoids and aperiodicity
 
@@ -573,31 +557,29 @@ def dfa_is_counter_free(d: Dfa) -> AperiodicityReport:
 
 @dataclass(frozen=True, eq=False)
 class SequentialTransducer:
-    """Deterministic one-way transducer with partial step/produce maps."""
+    """Deterministic one-way transducer with a partial transition map."""
 
     states: tuple
     in_alphabet: Alphabet
     out_alphabet: Alphabet
     initial: object
     finals: frozenset
-    step: dict  # (state, symbol) -> state
-    out: dict  # (state, symbol) -> output word (tuple)
+    rules: Mapping  # (state, symbol) -> (next state, output word), read-only
 
     def __post_init__(self):
-        if set(self.step) != set(self.out):
-            raise ValueError("step and produce must share their domain")
+        rules = {k: (r, as_word(out)) for k, (r, out) in self.rules.items()}
+        object.__setattr__(self, "rules", MappingProxyType(rules))
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
-        if not all(b in self.out_alphabet for w in set(self.out.values()) for b in w):
+        if not all(b in self.out_alphabet for _, w in rules.values() for b in w):
             raise ValueError("a transition writes a symbol outside the output alphabet")
 
 
 def make_seq(states, in_alphabet, out_alphabet, initial, finals, rules) -> SequentialTransducer:
-    """``rules`` maps (state, symbol) -> (next_state, output)."""
-    step = {k: v[0] for k, v in rules.items()}
-    out = {k: as_word(v[1]) for k, v in rules.items()}
+    """The machine of ``rules``, (state, symbol) -> (next state, output);
+    states and finals may be any iterables, an output a string."""
     return SequentialTransducer(
-        tuple(states), in_alphabet, out_alphabet, initial, frozenset(finals), step, out
+        tuple(states), in_alphabet, out_alphabet, initial, frozenset(finals), rules
     )
 
 
@@ -608,10 +590,10 @@ def seq_run(t: SequentialTransducer, w) -> Optional[Word]:
     for a in as_word(w):
         if a not in t.in_alphabet:
             raise SymbolNotInAlphabet(f"symbol {a!r} not in alphabet")
-        if (q, a) not in t.step:
+        if (q, a) not in t.rules:
             return None
-        pieces.append(t.out[(q, a)])
-        q = t.step[(q, a)]
+        q, out = t.rules[(q, a)]
+        pieces.append(out)
     if q not in t.finals:
         return None
     return tuple(s for piece in pieces for s in piece)

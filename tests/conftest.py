@@ -43,9 +43,9 @@ def crossing_oracle(t, u, i, j, q, leftward=False):
             break
         seen.add((state, pos))
         sym = tape_symbol(tuple(u), pos)
-        if (state, sym) not in t.step:
+        if (state, sym) not in t.rules:
             break
-        state, move = t.step[(state, sym)]
+        state, _, move = t.rules[(state, sym)]
         prev = pos
         pos += move
         if not leftward and prev == j and pos == j + 1:

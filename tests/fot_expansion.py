@@ -109,7 +109,8 @@ def expanded_twoway_to_fot(
 ) -> FoTransduction:
     """FO transduction equivalent to an aperiodic two-way transducer.
 
-    Copies are the (normalized) states; a node ``(q, i)`` exists when the
+    Copies are the (normalized) states with a position formula, in state
+    order, as no other state has nodes; a node ``(q, i)`` exists when the
     accepting run visits ``(q, i)`` and produces a letter there; the order
     formula decides whether the run continued from one visited configuration
     reaches another.  All decisions are disjunctions over class atoms of the
@@ -127,7 +128,7 @@ def expanded_twoway_to_fot(
     pos = {}
     for q in t.states:
         for out_sym in t.out_alphabet:
-            sources = [a for a in letters if t.out.get((q, a)) == (out_sym,)]
+            sources = [a for a in letters if (q, a) in t.rules and t.rules[(q, a)][1] == (out_sym,)]
             disjuncts = []
             for a in sources:
                 for e1 in elements:
@@ -142,9 +143,10 @@ def expanded_twoway_to_fot(
                 pos[(q, out_sym)] = disj(disjuncts)
 
     # --- order formulas
+    copies = tuple(dict.fromkeys(q for q, _ in pos))
     order = {}
-    for q in t.states:
-        for q2 in t.states:
+    for q in copies:
+        for q2 in copies:
             order[(q, q2)] = _order_formula(b, q, q2)
 
     # --- domain: linear word whose class is accepting
@@ -177,7 +179,7 @@ def expanded_twoway_to_fot(
         in_alphabet=t.in_alphabet,
         out_alphabet=t.out_alphabet,
         dom=dom,
-        copies=tuple(t.states),
+        copies=copies,
         pos=pos,
         order=order,
     )

@@ -446,9 +446,9 @@ def _run_cells(t, w, state, pos):
     seen = set()
     while (state, pos) not in seen:
         seen.add((state, pos))
-        if tape[pos] == "$" and state in t.finals or (state, tape[pos]) not in t.step:
+        if tape[pos] == "$" and state in t.finals or (state, tape[pos]) not in t.rules:
             break
-        state, move = t.step[(state, tape[pos])]
+        state, _, move = t.rules[(state, tape[pos])]
         pos += move
     return seen
 
@@ -655,3 +655,24 @@ def test_subst_var_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_session_memo_keys_are_untracked():
+    # memo keys hold only numbers, so the cyclic collector stops scanning
+    # them: a big memo costs no collection time
+    session = EvalSession("abaab")
+    for x, y in product(session.positions, repeat=2):
+        session.eval(_shared_dag(5, BOUND_SIDE), {"x": x, "y": y})
+    gc.collect()  # untracks the tuples of values
+    gc.collect()  # and then the keys that hold them
+    assert session._memo and not any(gc.is_tracked(key) for key in session._memo)
+
+
+def test_compile_hashes_a_deep_dag_once_per_node():
+    # the compile cache keys on formulas, and each node keeps its hash: one
+    # that walked the subtree would follow all 2^24 paths of this DAG
+    phi = _shared_dag(24, BOUND_SIDE)
+    with budget("compiling a 24-level DAG", 1.0):
+        got = compile_to_dfa(phi, ["x", "y"], AB)
+    # every level above the first repeats its condition
+    assert dfa_same_language(got, compile_to_dfa(_shared_dag(1, BOUND_SIDE), ["x", "y"], AB))

@@ -195,9 +195,9 @@ def test_glue_matches_walk_reference():
                 got = glue(profiles[u], profiles[v])
                 want, looped = _ref_glue(profiles[u], profiles[v])
                 loops += looped
-                assert got == want, (t.step, u, v)
+                assert got == want, (t.rules, u, v)
                 direct = behaviors(t, u + v)
-                assert got == direct and hash(got) == hash(direct), (t.step, u, v)
+                assert got == direct and hash(got) == hash(direct), (t.rules, u, v)
                 seen.setdefault((got.ll, got.lr, got.rl, got.rr), []).append(got)
         # equal behavior functions give equal, equally hashed profiles, and
         # distinct ones distinct profiles
@@ -219,9 +219,9 @@ def visits_from(t, w, q, pos):
         if pos == len(w) + 1 and q in t.finals:
             break
         key = (q, tape_symbol(w, pos))
-        if key not in t.step:
+        if key not in t.rules:
             break
-        q, move = t.step[key]
+        q, _, move = t.rules[key]
         pos += move
     return list(seen)
 
@@ -237,7 +237,7 @@ def test_run_decisions_match_simulation():
         m = transition_monoid(t)
         for w in words:
             res = simulate(t, w)
-            assert accepts_from_class(m, class_of(m, w)) == res.defined, (t.step, w)
+            assert accepts_from_class(m, class_of(m, w)) == res.defined, (t.rules, w)
             configs, end = res.run.configs, len(w) + 1
             seen["accept after a 0-move on $"] += res.defined and configs[-2][1] == end
             seen["bounce off $"] += any(
@@ -251,12 +251,12 @@ def test_run_decisions_match_simulation():
                         for leftward in (False, True):
                             got = {q2 for q2 in t.states if reach_decision(m, triple, q, q2, leftward)}
                             want = crossing_oracle(t, w, i, j, q, leftward)
-                            assert got == want, (t.step, w, i, j, q, leftward)
+                            assert got == want, (t.rules, w, i, j, q, leftward)
                 index = {q: k for k, q in enumerate(t.states)}
                 u, a, v = w[: i - 1], w[i - 1], w[i:]
                 cut = (class_of(m, u), a, class_of(m, v))
                 got = run_visits(m, cut, (0, index[t.initial]), 2)
-                assert got == {index[q] for q, p in configs if p == i}, (t.step, w, i)
+                assert got == {index[q] for q, p in configs if p == i}, (t.rules, w, i)
                 # the run continued from each state at i, seen at i and at every other cell
                 for j in range(1, len(w) + 1):
                     lo, hi = min(i, j), max(i, j)
@@ -268,7 +268,7 @@ def test_run_decisions_match_simulation():
                         si, sj = (2, 4) if i < j else (4, 2)
                     for q in t.states:
                         want = {index[r] for r, p in visits_from(t, w, q, i) if p == j}
-                        assert run_visits(m, cuts, (si, index[q]), sj) == want, (t.step, w, i, j, q)
+                        assert run_visits(m, cuts, (si, index[q]), sj) == want, (t.rules, w, i, j, q)
     assert all(seen.values()), seen
 
 

@@ -126,7 +126,7 @@ def seq_index(t):
     delta = {}
     for q in states:
         for a in t.in_alphabet:
-            delta[(q, a)] = t.step.get((q, a), sink) if q is not sink else sink
+            delta[(q, a)] = t.rules.get((q, a), (sink,))[0] if q is not sink else sink
     d = Dfa(states, t.in_alphabet, t.initial, frozenset(t.finals), delta)
     return dfa_is_counter_free(d).index
 
@@ -235,7 +235,14 @@ def test_reach_decision_on_aab(doubler, doubler_monoid):
 def test_twoway_to_fot_copies(doubler):
     reg = MonoidRegistry()
     T = twoway_to_fot(doubler, reg, "M")
-    assert len(T.copies) == 3
+    # the states that produce a letter, in state order: state 3 only skips
+    assert T.copies == (1, 2)
+    assert set(T.order) == {(c, c2) for c in T.copies for c2 in T.copies}
+    # a machine that writes nothing has no copies and maps each word to ε
+    silent = make_twoway(("s",), AB, AB, "s", {"s"}, {("s", a): ("s", "", 1) for a in "^ab"})
+    S = twoway_to_fot(silent, reg, "N")
+    assert S.copies == () and not S.pos and not S.order
+    assert all(fot_eval(S, w, reg).output == () for w in words_upto(3))
 
 
 def test_twoway_to_fot_running_example(doubler):
@@ -313,7 +320,7 @@ def fig1():
     "machine, max_len",
     [
         (fig1, 3),
-        pytest.param(fig1, 5, marks=pytest.mark.slow),  # about 50 s: the expansion is 1 MB
+        (fig1, 5),  # about 6 s: the expansion is 1 MB
         (copier, 5),
         (reverser, 5),
         (partial_machine, 5),
@@ -326,24 +333,25 @@ def test_run_atoms_match_class_expansion(machine, max_len):
     # formula at every pair of positions agree with the class-atom expansion
     t = machine()
     reg, ref_reg = MonoidRegistry(), MonoidRegistry()
-    T = twoway_to_fot(t, reg, "M")
-    ref = expanded_twoway_to_fot(t, ref_reg, "M")
-    assert T.copies == ref.copies
-    for w in words_upto(max_len):
-        got, want = EvalSession(w, reg), EvalSession(w, ref_reg)
-        assert got.eval(T.dom) == want.eval(ref.dom), w
-        positions = range(1, len(w) + 1)
-        for c in T.copies:
-            for b in T.out_alphabet:
-                f, g = T.pos_formula(c, b), ref.pos_formula(c, b)
-                for i in positions:
-                    assert got.eval(f, {"x": i}) == want.eval(g, {"x": i}), (w, c, b, i)
-            for c2 in T.copies:
-                f, g = T.order_formula(c, c2), ref.order_formula(c, c2)
-                for i in positions:
-                    for j in positions:
-                        xy = {"x": i, "y": j}
-                        assert got.eval(f, xy) == want.eval(g, xy), (w, c, c2, i, j)
+    with budget(f"{machine.__name__} up to length {max_len}", 10.0):
+        T = twoway_to_fot(t, reg, "M")
+        ref = expanded_twoway_to_fot(t, ref_reg, "M")
+        assert T.copies == ref.copies
+        for w in words_upto(max_len):
+            got, want = EvalSession(w, reg), EvalSession(w, ref_reg)
+            assert got.eval(T.dom) == want.eval(ref.dom), w
+            positions = range(1, len(w) + 1)
+            for c in T.copies:
+                for b in T.out_alphabet:
+                    f, g = T.pos_formula(c, b), ref.pos_formula(c, b)
+                    for i in positions:
+                        assert got.eval(f, {"x": i}) == want.eval(g, {"x": i}), (w, c, b, i)
+                for c2 in T.copies:
+                    f, g = T.order_formula(c, c2), ref.order_formula(c, c2)
+                    for i in positions:
+                        for j in positions:
+                            xy = {"x": i, "y": j}
+                            assert got.eval(f, xy) == want.eval(g, xy), (w, c, c2, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +635,9 @@ def test_reverse_round_trip_example(doubler_fot, doubler_plain):
     # the 339-state plain doubler, whose monoid has 90 elements, back to a
     # transduction; its run atoms are evaluated, not compiled
     reg = MonoidRegistry()
-    with budget("reverse round trip", 30.0):
+    with budget("reverse round trip", 5.0):
         T2 = twoway_to_fot(doubler_plain, reg, "M")
+        # 11 of the 339 states produce a letter
+        assert len(T2.copies) == 11 and len(T2.order) == 121
         for w in words_upto(4, min_len=1):
             assert fot_eval(T2, w, reg).output == fot_eval(doubler_fot, w).output, w

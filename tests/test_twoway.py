@@ -89,20 +89,17 @@ def test_rows_stay_in_the_machine():
         make_twoway(("s",), AB, alphabet("a"), "s", {"s"}, {("s", "a"): ("s", "ab", 1)})
 
 
-def test_step_and_out_are_read_only(doubler):
-    assert isinstance(doubler.step, MappingProxyType) and isinstance(doubler.out, MappingProxyType)
+def test_rules_are_read_only(doubler):
+    assert isinstance(doubler.rules, MappingProxyType)
     with pytest.raises(TypeError):
-        doubler.step[(1, "a")] = (2, 1)
-    with pytest.raises(TypeError):
-        doubler.out[(1, "a")] = ("b",)
-    # the machine keeps its own copies: editing the caller's dicts changes nothing
-    step = {("s", "^"): ("s", 1), ("s", "a"): ("s", 1)}
-    out = {("s", "^"): (), ("s", "a"): ("a",)}
-    t = TwoWayTransducer(("s",), AB, AB, "s", frozenset({"s"}), step, out)
+        doubler.rules[(1, "a")] = (2, ("b",), 1)
+    # the machine keeps its own copy, with outputs as words: editing the
+    # caller's dict changes nothing
+    rules = {("s", "^"): ("s", "", 1), ("s", "a"): ("s", "a", 1)}
+    t = TwoWayTransducer(("s",), AB, AB, "s", frozenset({"s"}), rules)
     assert simulate(t, "aa").output == ("a", "a")
-    step[("s", "a")] = ("s", 0)
-    out[("s", "a")] = ("b",)
-    assert simulate(t, "aa").output == ("a", "a") and t.step[("s", "a")] == ("s", 1)
+    rules[("s", "a")] = ("s", "b", 0)
+    assert simulate(t, "aa").output == ("a", "a") and t.rules[("s", "a")] == ("s", ("a",), 1)
 
 
 def dict_simulate(t, w) -> SimResult:
@@ -119,12 +116,12 @@ def dict_simulate(t, w) -> SimResult:
             run = Run(w, tuple(configs), tuple(outputs), True)
             return SimResult(tuple(s for o in outputs for s in o), run)
         a = tape_symbol(w, pos)
-        if (q, a) not in t.step:
+        if (q, a) not in t.rules:
             run = Run(w, tuple(configs), tuple(outputs), False)
             reason = "rejected" if pos == last else "blocked"
             return SimResult(None, run, reason)
-        outputs.append(t.out[(q, a)])
-        q, move = t.step[(q, a)]
+        q, out, move = t.rules[(q, a)]
+        outputs.append(out)
         pos += move
         configs.append((q, pos))
         if (q, pos) in seen:
@@ -137,7 +134,7 @@ def _with_outputs(rng, t):
     """``t`` with every row producing a random word of 0 to 3 letters."""
     rules = {
         (q, a): (r, tuple(rng.choice("ab") for _ in range(rng.randint(0, 3))), move)
-        for (q, a), (r, move) in t.step.items()
+        for (q, a), (r, _, move) in t.rules.items()
     }
     return make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules)
 
@@ -167,8 +164,8 @@ def test_simulate_matches_dict_reference():
         for w in words_upto(5):
             got, want = simulate(t, w), dict_simulate(t, w)
             assert type(got.run.configs) is tuple and type(got.run.outputs) is tuple
-            assert (got.output, got.reason) == (want.output, want.reason), (t.step, w)
-            assert got.run == want.run, (t.step, w)
+            assert (got.output, got.reason) == (want.output, want.reason), (t.rules, w)
+            assert got.run == want.run, (t.rules, w)
             configs = got.run.configs
             if got.reason == "loop":
                 cycle = configs[configs.index(configs[-1]) :]
@@ -180,7 +177,7 @@ def test_simulate_matches_dict_reference():
             else:
                 seen[got.reason or "accept"] += 1
     assert all(seen.values()), seen
-    assert any(len(o) > 1 for t in machines for o in t.out.values())
+    assert any(len(o) > 1 for t in machines for _, o, _ in t.rules.values())
 
 
 def test_simulate_runs_up_to_the_step_bound():
@@ -248,7 +245,7 @@ def test_normalize_splits_productions():
 
 def test_normalize_idempotent(doubler):
     assert normalize(doubler) is doubler
-    assert len(normalize(doubler).step) == len(doubler.step)
+    assert len(normalize(doubler).rules) == len(doubler.rules)
     # producing nothing anywhere is already normal
     cp = copier()
     assert normalize(cp) is cp
@@ -298,7 +295,7 @@ def test_trim_keeps_reachable_states_in_order(doubler):
     assert trimmed.states == ("w", "s", "t")
     assert trimmed.finals == {"t"}
     assert trimmed.initial == "s"
-    assert set(trimmed.step) == {k for k in rules if k[0] in ("s", "t", "w")}
+    assert set(trimmed.rules) == {k for k in rules if k[0] in ("s", "t", "w")}
     for w in words_upto(4):
         assert simulate(trimmed, w).output == simulate(t, w).output, w
     assert trim(doubler) is doubler
@@ -316,9 +313,9 @@ def dict_merge_equivalent(t):
         for q in t.states:
             row = []
             for a in symbols:
-                if (q, a) in t.step:
-                    r, move = t.step[(q, a)]
-                    row.append((block[r], t.out[(q, a)], move))
+                if (q, a) in t.rules:
+                    r, out, move = t.rules[(q, a)]
+                    row.append((block[r], out, move))
                 else:
                     row.append(None)
             sig = (block[q], tuple(row))
@@ -334,9 +331,9 @@ def dict_merge_equivalent(t):
         rep.setdefault(block[q], q)
     rename = {q: rep[block[q]] for q in t.states}
     rules = {}
-    for (q, a), (r, move) in t.step.items():
+    for (q, a), (r, out, move) in t.rules.items():
         if rename[q] == q:
-            rules[(q, a)] = (rename[r], t.out[(q, a)], move)
+            rules[(q, a)] = (rename[r], out, move)
     states = tuple(rep.values())
     finals = {rename[f] for f in t.finals}
     return make_twoway(states, t.in_alphabet, t.out_alphabet, rename[t.initial], finals, rules)
@@ -349,8 +346,7 @@ def _with_twins(rng, t):
     can split the pair and, over later rounds, the pairs that lead to it."""
     twin = {q: ("twin", q) for q in t.states}
     rules = {}
-    for (q, a), (r, move) in t.step.items():
-        out = t.out[(q, a)]
+    for (q, a), (r, out, move) in t.rules.items():
         rules[(q, a)] = (rng.choice((r, twin[r])), out, move)
         if rng.random() < 0.1:
             out = rng.choice(((), ("a",), ("b",)))
@@ -369,21 +365,17 @@ def test_merge_equivalent_matches_dict_reference():
     for t in machines:
         got, want = merge_equivalent(t), dict_merge_equivalent(t)
         assert (got is t) == (want is t)
-        assert (got.initial, got.states, got.finals) == (want.initial, want.states, want.finals), t.step
-        assert list(got.step.items()) == list(want.step.items()), t.step
-        assert list(got.out.items()) == list(want.out.items()), t.step
+        assert (got.initial, got.states, got.finals) == (want.initial, want.states, want.finals), t.rules
+        assert list(got.rules.items()) == list(want.rules.items()), t.rules
         n, m = len(t.states), len(got.states)
         seen["kept" if m == n else "halved" if 2 * m == n else "merged less"] += 1
-        seen["$ row on a final state"] += any((q, "$") in t.step for q in t.finals)
-        seen["blocked row"] += len(t.step) < 4 * n
+        seen["$ row on a final state"] += any((q, "$") in t.rules for q in t.finals)
+        seen["blocked row"] += len(t.rules) < 4 * n
     assert all(seen.values()), seen
 
 
 def test_merge_equivalent_preserves_runs(doubler):
-    bloated_rules = {
-        (q, a): (r, doubler.out[(q, a)], mv)
-        for (q, a), (r, mv) in doubler.step.items()
-    }
+    bloated_rules = dict(doubler.rules)
     # duplicate state 3 as state 4
     for (q, a), (r, out, mv) in list(bloated_rules.items()):
         if q == 3:

@@ -20,7 +20,6 @@ from twofst.words import (
     dfa_is_counter_free,
     dfa_language_upto,
     dfa_minimize,
-    dfa_only_word,
     dfa_project_bit,
     dfa_same_language,
     dfa_table,
@@ -215,11 +214,6 @@ def test_seq_run_concat_on_total_single_state(u, v):
     erase = make_seq((0,), AB, AB, 0, {0}, {(0, "a"): (0, "a"), (0, "b"): (0, "")})
     ru, rv, ruv = seq_run(erase, u), seq_run(erase, v), seq_run(erase, u + v)
     assert ruv == ru + rv
-
-
-def test_only_word_dfa():
-    d = dfa_only_word(AB, "aba")
-    assert [show_word(w) for w in dfa_language_upto(d, 5)] == ["aba"]
 
 
 # ---------------------------------------------------------------------------
