@@ -14,10 +14,12 @@ finite Boolean combinations of class atoms and stay first-order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
+from threading import Lock
 from typing import Callable, NamedTuple, Optional
+from weakref import WeakValueDictionary
 
 from .words import (
     Alphabet,
@@ -73,72 +75,83 @@ class RegistryError(ValueError):
 # Syntax
 
 
-@dataclass(frozen=True)
+# Every live node, by its kind and field values.  Building a node equal to a
+# live one returns that one (hash-consing), so equal formulas are one object,
+# compared and hashed by identity.  The table holds its nodes weakly.
+_NODES = WeakValueDictionary()
+_NODES_LOCK = Lock()
+_NODE_NUMBERS = count()  # never reused, unlike ``id`` of a collected node
+
+
 class Formula:
-    # evaluation plan, built on first use from the children's plans
-    _plan: Optional["_Plan"] = field(default=None, init=False, repr=False, compare=False)
-    # hash, computed on first use from the children's hashes, so that hashing
-    # a shared DAG visits each node once
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    """A formula node.  Each kind states its operator in the concrete syntax
+    and its ``shape``: the name and the role of each field, in order.  The
+    roles: a letter of the word, written as the alphabets write it; a free
+    variable, or a tuple of them (``vars``); the variable a quantifier binds;
+    the names of a registered monoid and of one of its elements; a run
+    atom's kind, which is its operator, and its state indices; a subformula,
+    or a tuple of them (``subs``).  The printer, the parser, renaming and
+    the walks read the shape; evaluation and compilation keep their own code
+    per kind, as that code is the semantics.
 
-    def __hash__(self):
-        got = self._hash
-        if got is None:
-            values = [getattr(self, name) for name, _ in _FIELDS[type(self)]]
-            got = hash((type(self).__name__, *values))
-            object.__setattr__(self, "_hash", got)
-        return got
+    Nodes are immutable and interned: each carries a number that no other
+    node ever gets, and, once evaluated, its evaluation plan.
+    """
 
-    def __and__(self, other):
-        return conj([self, other])
+    operator: Optional[str] = None
+    shape: tuple = ()
 
-    def __or__(self, other):
-        return disj([self, other])
+    def __new__(cls, *values):
+        if len(values) != len(cls.shape):
+            raise TypeError(f"{cls.__name__} takes {len(cls.shape)} fields, got {len(values)}")
+        key = (cls, *values)
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = _NODES[key] = object.__new__(cls)
+                node.__dict__.update(zip([name for name, _ in cls.shape], values))
+                node.__dict__["_number"] = next(_NODE_NUMBERS)
+        return node
 
-    def __invert__(self):
-        return neg(self)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a formula node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a formula node")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name, _ in self.shape)
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name, _ in self.shape)
+        return f"{type(self).__name__}({values})"
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    operator, shape = "true", ()
 
 
-@dataclass(frozen=True)
 class Letter(Formula):
-    symbol: object
-    var: str
+    operator, shape = "letter", (("symbol", "letter"), ("var", "var"))
 
 
-@dataclass(frozen=True)
 class Le(Formula):
-    left: str
-    right: str
+    operator, shape = "le", (("left", "var"), ("right", "var"))
 
 
-@dataclass(frozen=True)
 class FactorClass(Formula):
-    monoid: str
-    element: str
-    left: str
-    right: str
+    operator = "class"
+    shape = (("monoid", "monoid"), ("element", "element"), ("left", "var"), ("right", "var"))
 
 
-@dataclass(frozen=True)
 class PrefixClass(Formula):
-    monoid: str
-    element: str
-    var: str
+    operator, shape = "pclass", (("monoid", "monoid"), ("element", "element"), ("var", "var"))
 
 
-@dataclass(frozen=True)
 class SuffixClass(Formula):
-    monoid: str
-    element: str
-    var: str
+    operator, shape = "sclass", (("monoid", "monoid"), ("element", "element"), ("var", "var"))
 
 
-@dataclass(frozen=True)
 class RunAtom(Formula):
     """A run decision of the machine of a registered monoid.
 
@@ -150,82 +163,43 @@ class RunAtom(Formula):
     when a variable sits on an endmarker.
     """
 
-    monoid: str
-    kind: str
-    states: tuple
-    vars: tuple
+    operator = None  # its kind is its operator
+    shape = (("monoid", "monoid"), ("kind", "kind"), ("states", "states"), ("vars", "vars"))
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    args: tuple
+    operator, shape = "and", (("args", "subs"),)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    args: tuple
+    operator, shape = "or", (("args", "subs"),)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    operator, shape = "not", (("arg", "sub"),)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    operator, shape = "exists", (("var", "bound"), ("body", "sub"))
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    operator, shape = "forall", (("var", "bound"), ("body", "sub"))
 
 
 FALSE = Not(TrueF())
 
 _RUN_ARITY = {"accept": 0, "visit": 1, "reach": 2}  # states, and as many variables
-
-# Each node kind: its operator in the concrete syntax, and the role of each
-# of its fields, in order.  The roles: a letter of the word, written as the
-# alphabets write it; a free variable, or a tuple of them (``vars``); the
-# variable a quantifier binds; the names of a registered monoid and of one
-# of its elements; a run atom's kind, which is its operator, and its state
-# indices; a subformula, or a tuple of them (``subs``).  The printer, the
-# parser, renaming and the walks read this table; evaluation and
-# compilation keep their own code per kind, as that code is the semantics.
-_SHAPES = {
-    TrueF: ("true", ()),
-    Letter: ("letter", ("letter", "var")),
-    Le: ("le", ("var", "var")),
-    FactorClass: ("class", ("monoid", "element", "var", "var")),
-    PrefixClass: ("pclass", ("monoid", "element", "var")),
-    SuffixClass: ("sclass", ("monoid", "element", "var")),
-    RunAtom: (None, ("monoid", "kind", "states", "vars")),
-    And: ("and", ("subs",)),
-    Or: ("or", ("subs",)),
-    Not: ("not", ("sub",)),
-    Exists: ("exists", ("bound", "sub")),
-    Forall: ("forall", ("bound", "sub")),
-}
-_FIELDS = {  # (field name, role) pairs of each kind
-    kind: tuple(zip([f.name for f in fields(kind) if f.init], roles, strict=True))
-    for kind, (_, roles) in _SHAPES.items()
-}
-# dataclass gave each kind a hash over its fields, which walks the whole
-# subtree on every call; each kind keeps the cached one instead
-for _kind in _SHAPES:
-    _kind.__hash__ = Formula.__hash__
-_BY_OPERATOR = {op: kind for kind, (op, _) in _SHAPES.items() if op} | dict.fromkeys(_RUN_ARITY, RunAtom)
+_BY_OPERATOR = {
+    kind.operator: kind for kind in Formula.__subclasses__() if kind.operator
+} | dict.fromkeys(_RUN_ARITY, RunAtom)
 
 
 def _fields(phi: Formula) -> list:
     """``(value, role)`` for each field of the node, in order."""
-    shape = _FIELDS.get(type(phi))
-    if shape is None:
+    if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
-    return [(getattr(phi, name), role) for name, role in shape]
+    return [(getattr(phi, name), role) for name, role in phi.shape]
 
 
 def _nodes(phi: Formula) -> list:
@@ -250,7 +224,7 @@ def conj(args) -> Formula:
     for a in args:
         if isinstance(a, TrueF):
             continue
-        if a == FALSE:
+        if a is FALSE:
             return FALSE
         if isinstance(a, And):
             flat.extend(a.args)
@@ -266,7 +240,7 @@ def conj(args) -> Formula:
 def disj(args) -> Formula:
     flat = []
     for a in args:
-        if a == FALSE:
+        if a is FALSE:
             continue
         if isinstance(a, TrueF):
             return TrueF()
@@ -471,17 +445,14 @@ def _plan(phi: Formula) -> _Plan:
     return got
 
 
-_PLAN_NUMBERS = count()  # never reused, unlike ``id`` of a collected plan
-
-
-def _memoized(free, compute) -> _Plan:
-    """``compute`` behind the session memo, keyed by a number of its own and
-    the values of the node's free variables.  The cyclic collector stops
-    tracking keys of numbers only (a function in a key would keep it
-    tracked), so a large memo costs no collection time."""
+def _memoized(phi: Formula, free, compute) -> _Plan:
+    """``compute`` behind the session memo, keyed by the node's number and
+    the values of its free variables.  The cyclic collector stops tracking
+    keys of numbers only (a function in a key would keep it tracked), so a
+    large memo costs no collection time."""
     names = tuple(sorted(free))
     values = itemgetter(*names) if names else lambda sigma: ()
-    number = next(_PLAN_NUMBERS)
+    number = phi._number
 
     def run(s, sigma):
         key = (number, values(sigma))
@@ -520,7 +491,7 @@ def _build_plan(phi: Formula) -> _Plan:
                     return stop
             return not stop
 
-        return _memoized(frozenset().union(*(p.free for p in plans)), compute)
+        return _memoized(phi, frozenset().union(*(p.free for p in plans)), compute)
     if kind is Exists or kind is Forall:
         body, var, want = _plan(phi.body), phi.var, kind is Exists
         inner = body.run
@@ -533,7 +504,7 @@ def _build_plan(phi: Formula) -> _Plan:
                     return want
             return not want
 
-        return _memoized(body.free - {var}, compute)
+        return _memoized(phi, body.free - {var}, compute)
     if kind is FactorClass:
         name, element, left, right = phi.monoid, phi.element, phi.left, phi.right
 
@@ -543,7 +514,7 @@ def _build_plan(phi: Formula) -> _Plan:
                 raise MalformedClassAtom(f"factor bounds {i} > {j}")
             return s.factor_class(name, i, j) == s.registry.element(name, element)
 
-        return _memoized(frozenset({left, right}), compute)
+        return _memoized(phi, frozenset({left, right}), compute)
     if kind is PrefixClass or kind is SuffixClass:
         name, element, var, prefix = phi.monoid, phi.element, phi.var, kind is PrefixClass
 
@@ -552,9 +523,9 @@ def _build_plan(phi: Formula) -> _Plan:
             e = s.prefix_class(name, i) if prefix else s.suffix_class(name, i)
             return s.registry.element(name, element) == e
 
-        return _memoized(frozenset({var}), compute)
+        return _memoized(phi, frozenset({var}), compute)
     if kind is RunAtom:
-        return _memoized(frozenset(phi.vars), lambda s, sigma: s._run(phi, sigma))
+        return _memoized(phi, frozenset(phi.vars), lambda s, sigma: s._run(phi, sigma))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -956,7 +927,8 @@ def compile_to_dfas(
     marked: bool = False,
 ) -> list:
     """:func:`compile_to_dfa` of each formula, through one compiler, so that
-    a subformula the formulas share is compiled once."""
+    a subformula the formulas share is compiled once.  Equal subformulas
+    built apart are one node, so they are shared too."""
     scope = tuple(free_var_order)
     for phi in formulas:
         missing = free_vars(phi) - set(scope)
@@ -1014,7 +986,7 @@ def certify_star_free(
 
 def show_formula(phi: Formula) -> str:
     items = _fields(phi)
-    parts = [_SHAPES[type(phi)][0] or phi.kind]
+    parts = [phi.operator or phi.kind]
     for value, role in items:
         if role in ("sub", "subs"):
             parts += map(show_formula, (value,) if role == "sub" else value)
@@ -1070,11 +1042,11 @@ def _tree_to_formula(tree) -> Formula:
     # the tokens each field takes: a run atom's kind is its operator, and its
     # arity numbers its states and its variables; and/or take every argument
     k = _RUN_ARITY.get(head)
-    widths = [{"kind": 0, "subs": len(args), "states": k, "vars": k}.get(role, 1) for _, role in _FIELDS[kind]]
+    widths = [{"kind": 0, "subs": len(args), "states": k, "vars": k}.get(role, 1) for _, role in kind.shape]
     if sum(widths) != len(args):
         raise FormulaSyntaxError(f"{head} expects {sum(widths)} arguments, got {len(args)}")
     values, i = [], 0
-    for (_, role), n in zip(_FIELDS[kind], widths):
+    for (_, role), n in zip(kind.shape, widths):
         got, i = args[i : i + n], i + n
         if role in ("sub", "subs"):
             got = [_tree_to_formula(a) for a in got]

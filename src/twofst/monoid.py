@@ -372,26 +372,3 @@ def run_visits(m: TransitionMonoid, factors: tuple, start: tuple, cell: int) -> 
             index[q] for k, _, i in entries if k == cell for q in cell_run(t, segments[cell], order[i])[0]
         )
     return got
-
-
-def reach_decision(
-    m: TransitionMonoid,
-    triple,
-    q,
-    q2,
-    leftward: bool = False,
-) -> bool:
-    """Boundary-reachability from the classes of a three-way split.
-
-    ``triple = (pre, mid, suf)`` are profiles of a factorization
-    ``u = pre mid suf`` of a whole input word.  Forward: does the run over
-    ``^ u $`` started at the first position of ``mid`` in state ``q`` at some
-    time cross the right boundary of ``mid`` in state ``q2``?  With
-    ``leftward`` the walk starts at the last position of ``mid`` and the
-    crossings of its left boundary are observed.  Arrivals at any time count,
-    not only the first; the walk honors the stop-on-acceptance convention.
-    """
-    order = m.machine.states
-    entries, _ = walk_chain(marked_chain(m, triple), len(order), 2, int(leftward), order.index(q))
-    watched = (1, 1) if leftward else (3, 0)  # entering pre from the right, suf from the left
-    return any((seg, side) == watched and order[i] == q2 for seg, side, i in entries)

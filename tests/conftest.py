@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from twofst.machines import AB, block_doubler, block_doubler_fot
-from twofst.twoway import make_twoway, tape_symbol
+from twofst.twoway import make_twoway
 from twofst.monoid import transition_monoid
 from twofst.logic import MonoidRegistry
 
@@ -26,33 +26,6 @@ def budget(name: str, seconds: float):
     elapsed = time.time() - start
     assert elapsed < seconds, f"{name} exceeded its {seconds}s budget: {elapsed:.1f}s"
     print(f"{name}: PASS ({elapsed:.2f}s, budget {seconds:g}s)")
-
-
-def crossing_oracle(t, u, i, j, q, leftward=False):
-    """States in which the run from (q, start-of-mid) crosses the watched
-    boundary of mid = u[i..j] (1-based, inclusive), by direct simulation."""
-    n = len(u)
-    pos = i if not leftward else j
-    crossings = set()
-    seen = set()
-    state = q
-    while True:
-        if pos == n + 1 and state in t.finals:
-            break
-        if (state, pos) in seen:
-            break
-        seen.add((state, pos))
-        sym = tape_symbol(tuple(u), pos)
-        if (state, sym) not in t.rules:
-            break
-        state, _, move = t.rules[(state, sym)]
-        prev = pos
-        pos += move
-        if not leftward and prev == j and pos == j + 1:
-            crossings.add(state)
-        if leftward and prev == i and pos == i - 1:
-            crossings.add(state)
-    return crossings
 
 
 def _random_machine(rng, marked=False):

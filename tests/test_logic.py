@@ -1,6 +1,11 @@
+import copy
 import gc
+import pickle
 import random
-from dataclasses import fields, replace
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -41,7 +46,7 @@ from twofst.logic import (
     show_formula,
     subst_var,
 )
-from twofst.logic import _Compiler, _all_vars, _explore_run_atom, _fields, _fresh_var, _nodes
+from twofst.logic import _NODES, _Compiler, _all_vars, _explore_run_atom, _fields, _fresh_var, _nodes
 from twofst.monoid import class_of, transition_monoid
 from twofst.words import dfa_accepts, dfa_is_counter_free, dfa_same_language, marked_alphabet
 
@@ -339,8 +344,8 @@ def test_every_node_kind_prints_parses_renames_and_is_checked(registry):
         check_atoms(phi, registry)
         # put each bad atom where the node keeps its subformulas
         holds_subformulas = False
-        for f in fields(phi):
-            value = getattr(phi, f.name) if f.init else None
+        values = [getattr(phi, name) for name, _ in phi.shape]
+        for k, value in enumerate(values):
             if isinstance(value, Formula):
                 placed = bad_atoms
             elif isinstance(value, tuple) and value and isinstance(value[0], Formula):
@@ -350,7 +355,7 @@ def test_every_node_kind_prints_parses_renames_and_is_checked(registry):
             holds_subformulas = True
             for new in placed:
                 with pytest.raises(RegistryError):
-                    check_atoms(replace(phi, **{f.name: new}), registry)
+                    check_atoms(type(phi)(*values[:k], new, *values[k + 1 :]), registry)
         connectives += holds_subformulas
     assert connectives == 5
     for bad in bad_atoms:
@@ -626,19 +631,26 @@ def test_subst_var_agrees_with_renaming_every_path(depth):
             assert subst_var(phi, renaming) == naive_subst(phi, renaming), (show_formula(phi), renaming)
 
 
-@pytest.mark.parametrize("side, nodes", [(Letter("a", "x"), 57), (BOUND_SIDE, 60)], ids=["atom", "binder"])
+@pytest.mark.parametrize(
+    "side, nodes",
+    [(Letter("a", "x"), [57, 57, 57, 57, 57]), (BOUND_SIDE, [60, 60, 60, 60, 59])],
+    ids=["atom", "binder"],
+)
 def test_subst_var_renames_a_deep_dag_once_per_node(side, nodes):
     # renaming every path of this 18-level DAG takes seconds; each of its
-    # nodes is renamed once
+    # nodes is renamed once.  The DAG, then each renaming of it, counted
+    # apart, so that a failure does not print the unfolding: under the last
+    # renaming the binder's (le x u0) and the level's (le x y) both become
+    # (le u0_1 u0), and equal nodes are one
     phi = _shared_dag(18, side)
+    sizes = [len(_nodes(phi))]
     for renaming in RENAMINGS:
         with budget(f"renaming {renaming}", 0.5):
             renamed = subst_var(phi, renaming)
-        # counted apart, so that a failure does not print the unfolding
-        sizes = len(_nodes(phi)), len(_nodes(renamed))
-        assert sizes == (nodes, nodes)
+        sizes.append(len(_nodes(renamed)))
         free = free_vars(renamed)
         assert free == {renaming.get(v, v) for v in ("x", "y")}
+    assert sizes == nodes
 
 
 def test_subst_var_leaves_no_cyclic_garbage():
@@ -669,10 +681,66 @@ def test_session_memo_keys_are_untracked():
 
 
 def test_compile_hashes_a_deep_dag_once_per_node():
-    # the compile cache keys on formulas, and each node keeps its hash: one
+    # the compile cache keys on formulas, which hash by identity: a hash
     # that walked the subtree would follow all 2^24 paths of this DAG
     phi = _shared_dag(24, BOUND_SIDE)
     with budget("compiling a 24-level DAG", 1.0):
         got = compile_to_dfa(phi, ["x", "y"], AB)
     # every level above the first repeats its condition
     assert dfa_same_language(got, compile_to_dfa(_shared_dag(1, BOUND_SIDE), ["x", "y"], AB))
+
+
+def test_equal_dags_built_apart_are_one_node():
+    # comparing two equal DAGs field by field would follow all 2^24 paths of
+    # this one; interned, the second build returns the first
+    first = _shared_dag(24, BOUND_SIDE)
+    with budget("building an equal 24-level DAG and comparing", 1.0):
+        second = _shared_dag(24, BOUND_SIDE)
+        equal = first == second
+    assert equal and first is second
+
+
+def test_threads_that_build_one_dag_get_one_node():
+    # names no other test uses, so that the threads race on new nodes; a
+    # short switch interval makes them swap often while they build
+    start = threading.Barrier(8)
+
+    def build(_):
+        start.wait(timeout=10)
+        return _shared_dag(12, Exists("t0", And((Le("x", "t0"), Letter("b", "t0")))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with budget("8 threads building one DAG", 10.0), ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(build, range(8), timeout=10))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 8 and all(phi is got[0] for phi in got)
+
+
+def test_node_table_keeps_no_node_alive():
+    phi = _shared_dag(6, Exists("g0", Letter("a", "g0")))
+    EvalSession("ab").eval(phi, {"x": 1, "y": 2})  # plans are kept on the nodes
+    alive = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert alive() is None
+    assert not [key for key in _NODES.keys() if "g0" in key]
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    phi = _shared_dag(3, BOUND_SIDE)
+    for other in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert other is phi
+
+
+def test_nodes_are_immutable_and_built_from_hashable_values():
+    phi = Le("x", "y")
+    with pytest.raises(AttributeError):
+        phi.left = "z"
+    with pytest.raises(AttributeError):
+        del phi.left
+    with pytest.raises(TypeError):
+        And([phi, phi])
+    assert Le("x", "y") is phi and phi.left == "x"

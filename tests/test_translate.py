@@ -18,7 +18,7 @@ from twofst.machines import (
 )
 from twofst.cli import parse, serialize_machine, serialize_sfla
 from twofst.logic import EvalSession, MonoidRegistry
-from twofst.monoid import class_of, is_aperiodic, reach_decision, transition_monoid
+from twofst.monoid import is_aperiodic, transition_monoid
 from twofst.translate import (
     DirectionAmbiguity,
     NotAperiodic,
@@ -47,7 +47,7 @@ from twofst.fot import fot_eval
 from twofst.twoway import context_path, make_twoway, simulate, trim
 from twofst.words import dfa_is_counter_free, dfa_universal, make_dfa, make_seq, seq_run, show_word
 
-from conftest import budget, crossing_oracle, data_path, words_upto
+from conftest import budget, data_path, words_upto
 from fot_expansion import expanded_twoway_to_fot
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -96,6 +96,21 @@ def test_compose_multi_letter_productions(doubler):
         mid = seq_run(seqm, w)
         want = simulate(doubler, mid).output if mid is not None else None
         assert simulate(c, w).output == want, w
+
+
+def test_compose_rebuilds_a_multi_letter_block_where_reruns_merge(doubler):
+    # a steps into 1 from both states, so a left exit of the doubler onto an
+    # a tracks two candidates back (mode rel); their forward reruns (mode r3)
+    # merge on an a, and the window is rebuilt from that a's two letters
+    rules = {(0, "a"): (1, "ab"), (1, "a"): (1, "ba"), (0, "b"): (0, "b"), (1, "b"): (0, "")}
+    seqm = make_seq((0, 1), AB, AB, 0, {0, 1}, rules)
+    c = compose_seq_2w(seqm, doubler)
+    reruns = 0
+    for w in words_upto(6):
+        got = simulate(c, w)
+        assert got.output == simulate(doubler, seq_run(seqm, w)).output, w
+        reruns += any(state[0] == "r3" for state, _ in got.run.configs)
+    assert reruns
 
 
 def test_compose_rejecting_final_states(doubler):
@@ -179,53 +194,6 @@ def test_compose_right_suffix_annotator():
 def test_compose_right_aperiodic(doubler):
     c = compose_right_seq_2w(identity_seq(), doubler)
     assert is_aperiodic(transition_monoid(c)).aperiodic
-
-
-# ---------------------------------------------------------------------------
-# reach decisions
-
-
-@pytest.mark.parametrize("leftward", [False, True])
-def test_reach_decision_oracle_exhaustive(doubler, doubler_monoid, leftward):
-    m = doubler_monoid
-    seen_triples = {}
-    for u in words_upto(5, min_len=1):
-        n = len(u)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                pre = class_of(m, u[: i - 1])
-                mid = class_of(m, u[i - 1 : j])
-                suf = class_of(m, u[j:])
-                for q in doubler.states:
-                    got = {
-                        q2
-                        for q2 in doubler.states
-                        if reach_decision(m, (pre, mid, suf), q, q2, leftward)
-                    }
-                    want = crossing_oracle(doubler, u, i, j, q, leftward)
-                    assert got == want, (u, i, j, q, leftward)
-                    # class-uniformity: identical triples give identical answers
-                    key = (pre, mid, suf, q, leftward)
-                    if key in seen_triples:
-                        assert seen_triples[key] == frozenset(got)
-                    else:
-                        seen_triples[key] = frozenset(got)
-
-
-def test_reach_decision_zero_length(doubler, doubler_monoid):
-    m = doubler_monoid
-    ident = m.identity
-    mid = class_of(m, "a")
-    # starting at the single cell of mid in state 1, the run crosses right
-    # in state 1 immediately
-    assert reach_decision(m, (ident, mid, ident), 1, 1)
-
-
-def test_reach_decision_on_aab(doubler, doubler_monoid):
-    m = doubler_monoid
-    triple = (m.identity, class_of(m, "aab"), m.identity)
-    got = {q2 for q2 in doubler.states if reach_decision(m, triple, 1, q2)}
-    assert got == crossing_oracle(doubler, "aab", 1, 3, 1)
 
 
 # ---------------------------------------------------------------------------
