@@ -388,13 +388,13 @@ class MonoidRegistry:
         return tuple(self._monoids)
 
 
-def _run_monoid(registry: Optional[MonoidRegistry], phi: RunAtom) -> TransitionMonoid:
+def _run_monoid(registry: Optional[MonoidRegistry], name: str, states: tuple) -> TransitionMonoid:
     """The monoid of a run atom, whose machine must have the atom's states."""
     if registry is None:
         raise RegistryError("run atom used without a monoid registry")
-    m = registry.monoid(phi.monoid)
-    if not all(0 <= i < len(m.machine.states) for i in phi.states):
-        raise RegistryError(f"monoid {phi.monoid!r} has no states numbered {phi.states}")
+    m = registry.monoid(name)
+    if not all(0 <= i < len(m.machine.states) for i in states):
+        raise RegistryError(f"monoid {name!r} has no states numbered {states}")
     return m
 
 
@@ -406,23 +406,26 @@ def check_atoms(phi: Formula, registry: MonoidRegistry) -> None:
             if role == "element":
                 registry.element(f.monoid, f.element)
             elif role == "states":
-                _run_monoid(registry, f)
+                _run_monoid(registry, f.monoid, f.states)
 
 
-def _run_truth(m: TransitionMonoid, phi: RunAtom, factors: tuple, segments: tuple) -> bool:
-    """Truth of a run atom on a word cut at its variables.
+def _run_truth(
+    m: TransitionMonoid, kind: str, states: tuple, factors: tuple, segments: tuple
+) -> bool:
+    """Truth of a run atom of ``kind`` and ``states`` on a word cut at its
+    variables.
 
     ``factors`` are the classes and cut letters of the word, left to right,
     as :func:`monoid.run_visits` reads them; the atom's variables sit on the
     cut letters numbered ``segments`` in its chain.
     """
-    if phi.kind == "accept":
+    if kind == "accept":
         return accepts_from_class(m, factors[0])
-    if phi.kind == "visit":
+    if kind == "visit":
         t = m.machine
         start = (0, t.states.index(t.initial))
-        return phi.states[0] in run_visits(m, factors, start, segments[0])
-    return phi.states[1] in run_visits(m, factors, (segments[0], phi.states[0]), segments[1])
+        return states[0] in run_visits(m, factors, start, segments[0])
+    return states[1] in run_visits(m, factors, (segments[0], states[0]), segments[1])
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +528,9 @@ def _build_plan(phi: Formula) -> _Plan:
 
         return _memoized(phi, frozenset({var}), compute)
     if kind is RunAtom:
-        return _memoized(phi, frozenset(phi.vars), lambda s, sigma: s._run(phi, sigma))
+        # the plan lives on the node, so it keeps the atom's fields, not the atom
+        fields = phi.monoid, phi.kind, phi.states, phi.vars
+        return _memoized(phi, frozenset(phi.vars), lambda s, sigma: s._run(*fields, sigma))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -566,19 +571,18 @@ class EvalSession:
             self._read_by.add(name)
         return m
 
-    def _run(self, phi: RunAtom, sigma: dict) -> bool:
+    def _run(self, name: str, kind: str, states: tuple, vars_: tuple, sigma: dict) -> bool:
         """A run atom, from the classes around its cuts and the cut letters."""
-        m = _run_monoid(self.registry, phi)
-        name = phi.monoid
-        cuts = sorted({sigma[v] for v in phi.vars})
+        m = _run_monoid(self.registry, name, states)
+        cuts = sorted({sigma[v] for v in vars_})
         if any(self._tape[c] in (LEFT_MARK, RIGHT_MARK) for c in cuts):
             return False
         factors = [self.prefix_class(name, cuts[0] if cuts else self.n + 1)]
         for c, d in zip(cuts, cuts[1:] + [None]):
             gap = self.suffix_class(name, c) if d is None else self.factor_class(name, c + 1, d - 1)
             factors += [self._tape[c], gap]
-        segments = tuple(2 + 2 * cuts.index(sigma[v]) for v in phi.vars)
-        return _run_truth(m, phi, tuple(factors), segments)
+        segments = tuple(2 + 2 * cuts.index(sigma[v]) for v in vars_)
+        return _run_truth(m, kind, states, tuple(factors), segments)
 
     def prefix_class(self, name, i: int) -> BehaviorProfile:
         """Class of the real letters strictly before position ``i``."""
@@ -833,7 +837,7 @@ class _Compiler:
     def _run_atom(self, phi: RunAtom, scope, alpha) -> Dfa:
         """The atom's own DFA, lifted into the scope: a scope symbol moves as
         the atom symbol with its letter and the bits of the atom's variables."""
-        m = _run_monoid(self.registry, phi)
+        m = _run_monoid(self.registry, phi.monoid, phi.states)
         names = tuple(dict.fromkeys(phi.vars))
         own = _run_atom_dfa(m, phi, tuple(map(names.index, phi.vars)), self.base, self.marked)
         bits = [self._bit(scope, v) for v in names]
@@ -898,7 +902,9 @@ def _explore_run_atom(m: TransitionMonoid, phi: RunAtom, alpha: Alphabet, bits) 
         lambda s: (s[0], tuple([s[1][b] for b in bits])),
         ((m.identity,), (0,) * len(bits)),
         step,
-        lambda state: state is not None and all(state[1]) and _run_truth(m, phi, *state),
+        lambda state: (
+            state is not None and all(state[1]) and _run_truth(m, phi.kind, phi.states, *state)
+        ),
     )
 
 

@@ -476,6 +476,8 @@ class _JumpTables:
         self.base = base
         self.letters = {a: a for a in base}  # the generators of each exploration
         self.after_mark = d.delta[(d.initial, (LEFT_MARK, self.ZERO))]
+        # the states that accept on reading the bare right endmarker
+        self.end = self.pre_vector(d.finals, RIGHT_MARK)
 
     def step(self, s, sym, bits):
         return self.d.delta[(s, (sym, bits))]
@@ -491,35 +493,28 @@ class _JumpTables:
         return explore_dfa(self.base, lambda a: a, self.after_mark, self.zero, lambda t: t == s1)
 
     def suffix_accepts_from(self, s) -> Dfa:
-        return explore_dfa(self.base, lambda a: a, s, self.zero, self.end_vector().__contains__)
+        return explore_dfa(self.base, lambda a: a, s, self.zero, self.end.__contains__)
 
-    def end_vector(self) -> frozenset:
-        return frozenset(
-            t for t in self.d.states if self.step(t, RIGHT_MARK, self.ZERO) in self.d.finals
-        )
-
-    def pre_vector(self, vec: frozenset, a) -> frozenset:
-        return frozenset(t for t in self.d.states if self.zero(t, a) in vec)
+    def pre_vector(self, vec: frozenset, sym, bits=ZERO) -> frozenset:
+        """The states that reach ``vec`` on reading ``sym`` with ``bits``."""
+        return frozenset(t for t in self.d.states if self.step(t, sym, bits) in vec)
 
     def vector_space(self):
         """Suffix-acceptance vectors reachable from the end of the tape."""
-        return tuple(monoid_closure(self.end_vector(), self.letters, self.pre_vector))
+        return tuple(monoid_closure(self.end, self.letters, self.pre_vector))
 
     def vector_language(self, vec: frozenset) -> Dfa:
         """Words whose suffix-acceptance vector equals ``vec``: the reversal
         of the vectors' own DFA, which reads a suffix from its end."""
         backward = explore_dfa(
-            self.base, lambda a: a, self.end_vector(), self.pre_vector, lambda v: v == vec
+            self.base, lambda a: a, self.end, self.pre_vector, lambda v: v == vec
         )
         return dfa_reverse(backward)
 
     def direction_right_language(self, s2) -> Dfa:
         """Suffixes admitting a later y placement accepted by the jump DFA."""
-        F = self.d.finals
-        nfa_finals = frozenset(
-            [(t, 1) for t in self.d.states if self.step(t, RIGHT_MARK, self.ZERO) in F]
-            + [(t, 0) for t in self.d.states if self.step(t, RIGHT_MARK, self.YB) in F]
-        )
+        y_end = self.pre_vector(self.d.finals, RIGHT_MARK, self.YB)
+        nfa_finals = frozenset([(t, 1) for t in self.end] + [(t, 0) for t in y_end])
 
         def moves(state, a):
             s, flag = state
@@ -560,6 +555,10 @@ def fo_la_to_sf_la(
     position through a prefix test, decides the jump direction through
     suffix or subset tests, and walks one step at a time, firing a candidate
     test at each position.
+
+    Each move is one rule over any cell.  An endmarker is a cell whose prefix
+    (at ``^``) or suffix (at ``$``) is empty; it differs from a letter only
+    where the model forbids a move: none right from ``$``, none left from ``^``.
     """
     if not check_fo_determinism(t, bound, registry):
         raise DirectionAmbiguity(
@@ -567,194 +566,124 @@ def fo_la_to_sf_la(
         )
     base = t.in_alphabet
     univ = dfa_universal(base, True)
+    empty = dfa_universal(base, False)
+    XB, YB, XY = _JumpTables.XB, _JumpTables.YB, _JumpTables.XY
     transitions = []
     states = list(t.states)
+
+    def add(src, prefix, sym, suffix, dst, out, move) -> bool:
+        if _dfa_is_empty(suffix):
+            return False
+        transitions.append(SfTransition(src, SfTest(prefix, sym, suffix), dst, out, move))
+        return True
+
+    def closure(seeds, expand) -> set:
+        """The walk states reached from ``seeds``; ``expand`` adds one
+        state's transitions and returns the states it walks on to."""
+        done = set()
+        frontier = list(seeds)
+        while frontier:
+            s = frontier.pop()
+            if s not in done:
+                done.add(s)
+                frontier.extend(n for n in expand(s) if n not in done)
+        return done
 
     psi_hats = [conj([tr.guard, tr.jump]) for tr in t.transitions]
     jumps = compile_to_dfas(psi_hats, ["x", "y"], base, registry, marked=True)
     for ti, (tr, d) in enumerate(zip(t.transitions, jumps)):
         tab = _JumpTables(d, base)
-        walk_r = {}
-        walk_l = {}
-
-        def walkR(s):
-            key = ("walkR", ti, s)
-            walk_r[s] = key
-            return key
-
-        def walkL(vec):
-            key = ("walkL", ti, vec)
-            walk_l[vec] = key
-            return key
-
         prefix_states = tab.reachable_prefix_states()
-        only_prefix = len(prefix_states) == 1
-
-        def prefix_test(s1):
-            return univ if only_prefix else tab.prefix_language(s1)
-
-        sigma_reach = tab.sigma_space()
+        prefix_lang = cache(tab.prefix_language)
+        suffix_acc = cache(tab.suffix_accepts_from)
         sigma_lang = cache(tab.sigma_language)
         vec_lang = cache(tab.vector_language)
-        suffix_acc = cache(tab.suffix_accepts_from)
+        walk_r = {}  # the seeds of each walk, insertion-ordered
+        walk_l = {}
 
-        # --- entries at letter positions
-        for s1 in prefix_states:
-            for a in base:
-                # stay: x and y on the same cell
-                acc = tab.step(s1, a, tab.XY)
-                su = suffix_acc(acc)
-                if not _dfa_is_empty(su):
-                    transitions.append(
-                        SfTransition(
-                            tr.src, SfTest(prefix_test(s1), a, su), tr.dst, tr.out, 0
-                        )
-                    )
-                # walk right
-                s_at = tab.step(s1, a, tab.XB)
+        def before(s, sym) -> Dfa:
+            """The prefix test that puts the DFA in ``s`` before the cell."""
+            return univ if sym == LEFT_MARK else prefix_lang(s)
+
+        def after(s, sym) -> Dfa:
+            """The suffix test accepted from ``s``, reached on the cell."""
+            if sym == RIGHT_MARK:
+                return univ if s in d.finals else empty
+            return suffix_acc(s)
+
+        def enter(s, sym):
+            """Stay on the cell, or walk right from it."""
+            add(tr.src, before(s, sym), sym, after(tab.step(s, sym, XY), sym), tr.dst, tr.out, 0)
+            if sym != RIGHT_MARK:
+                s_at = tab.step(s, sym, XB)
                 dir_r = tab.direction_right_language(s_at)
-                if not _dfa_is_empty(dir_r):
-                    transitions.append(
-                        SfTransition(
-                            tr.src,
-                            SfTest(prefix_test(s1), a, dir_r),
-                            walkR(s_at),
-                            tr.out,
-                            1,
-                        )
-                    )
-        # --- left entries at letter positions, per (sigma, suffix vector)
-        vecs = tab.vector_space()
-        for (s, sig) in sigma_reach:
-            for a in base:
-                for vec in vecs:
-                    if not any(tab.step(u, a, tab.XB) in vec for u in sig):
-                        continue
-                    lsig = sigma_lang((s, sig))
-                    lvec = vec_lang(vec)
-                    if _dfa_is_empty(lsig) or _dfa_is_empty(lvec):
-                        continue
-                    w_init = frozenset(
-                        u for u in tab.d.states if tab.step(u, a, tab.XB) in vec
-                    )
-                    transitions.append(
-                        SfTransition(
-                            tr.src, SfTest(lsig, a, lvec), walkL(w_init), tr.out, -1
-                        )
-                    )
-        # --- entries at the left endmarker
-        acc0 = tab.step(tab.d.initial, LEFT_MARK, tab.XY)
-        su0 = suffix_acc(acc0)
-        if not _dfa_is_empty(su0):
-            transitions.append(
-                SfTransition(tr.src, SfTest(univ, LEFT_MARK, su0), tr.dst, tr.out, 0)
-            )
-        s_at0 = tab.step(tab.d.initial, LEFT_MARK, tab.XB)
-        dir0 = tab.direction_right_language(s_at0)
-        if not _dfa_is_empty(dir0):
-            transitions.append(
-                SfTransition(
-                    tr.src, SfTest(univ, LEFT_MARK, dir0), walkR(s_at0), tr.out, 1
-                )
-            )
-        # --- entries at the right endmarker
-        for s1 in prefix_states:
-            if tab.step(s1, RIGHT_MARK, tab.XY) in tab.d.finals:
-                transitions.append(
-                    SfTransition(
-                        tr.src, SfTest(prefix_test(s1), RIGHT_MARK, univ), tr.dst, tr.out, 0
-                    )
-                )
-        for (s, sig) in sigma_reach:
-            if any(tab.step(u, RIGHT_MARK, tab.XB) in tab.d.finals for u in sig):
-                lsig = sigma_lang((s, sig))
-                if _dfa_is_empty(lsig):
-                    continue
-                w_init = frozenset(
-                    u
-                    for u in tab.d.states
-                    if tab.step(u, RIGHT_MARK, tab.XB) in tab.d.finals
-                )
-                transitions.append(
-                    SfTransition(
-                        tr.src, SfTest(lsig, RIGHT_MARK, univ), walkL(w_init), tr.out, -1
-                    )
-                )
+                if add(tr.src, before(s, sym), sym, dir_r, ("walkR", ti, s_at), tr.out, 1):
+                    walk_r[s_at] = None
 
-        # --- walk states (built to closure)
-        done_r = set()
-        frontier = list(walk_r)
-        while frontier:
-            s = frontier.pop()
-            if s in done_r:
-                continue
-            done_r.add(s)
-            key = ("walkR", ti, s)
-            for a in base:
-                t_y = tab.step(s, a, tab.YB)
-                su = suffix_acc(t_y)
-                if not _dfa_is_empty(su):
-                    transitions.append(
-                        SfTransition(key, SfTest(univ, a, su), tr.dst, (), 0)
-                    )
-                if not _dfa_is_universal(su):
-                    nxt = tab.zero(s, a)
-                    transitions.append(
-                        SfTransition(
-                            key,
-                            SfTest(univ, a, dfa_complement(su)),
-                            ("walkR", ti, nxt),
-                            (),
-                            1,
-                        )
-                    )
-                    if nxt not in done_r:
-                        frontier.append(nxt)
-            if tab.step(s, RIGHT_MARK, tab.YB) in tab.d.finals:
-                transitions.append(
-                    SfTransition(key, SfTest(univ, RIGHT_MARK, univ), tr.dst, (), 0)
-                )
-        done_l = set()
-        frontier = list(walk_l)
-        while frontier:
-            vec = frontier.pop()
-            if vec in done_l:
-                continue
-            done_l.add(vec)
-            key = ("walkL", ti, vec)
+        def enter_left(state, sym, vec):
+            """Walk left from the cell when its x state falls in ``vec``, the
+            acceptance vector of the suffix after it."""
+            if not any(tab.step(u, sym, XB) in vec for u in state[1]):
+                return
+            prefix = sigma_lang(state)
+            if _dfa_is_empty(prefix):
+                return
+            # the suffix of $ is empty, so its vector is d.finals; a letter's
+            # vector may be d.finals too, so the test follows the cell
+            suffix = univ if sym == RIGHT_MARK else vec_lang(vec)
+            seed = tab.pre_vector(vec, sym, XB)
+            if add(tr.src, prefix, sym, suffix, ("walkL", ti, seed), tr.out, -1):
+                walk_l[seed] = None
+
+        def walk_right(s):
+            key, nexts = ("walkR", ti, s), []
+            for sym in (*base, RIGHT_MARK):
+                su = after(tab.step(s, sym, YB), sym)
+                add(key, univ, sym, su, tr.dst, (), 0)
+                if sym != RIGHT_MARK and not _dfa_is_universal(su):
+                    nxt = tab.zero(s, sym)
+                    add(key, univ, sym, dfa_complement(su), ("walkR", ti, nxt), (), 1)
+                    nexts.append(nxt)
+            return nexts
+
+        def land_left(key, s, sym, vec):
+            if tab.step(s, sym, YB) in vec:
+                add(key, before(s, sym), sym, univ, tr.dst, (), 0)
+
+        def walk_left(vec):
+            key, nexts = ("walkL", ti, vec), []
             for s1 in prefix_states:
                 for a in base:
-                    if tab.step(s1, a, tab.YB) in vec:
-                        transitions.append(
-                            SfTransition(
-                                key, SfTest(prefix_test(s1), a, univ), tr.dst, (), 0
-                            )
-                        )
+                    land_left(key, s1, a, vec)
             # moving past a cell refines the vector by that letter only, so
             # group the continuation per letter
             for a in base:
-                nvec = frozenset(u for u in tab.d.states if tab.zero(u, a) in vec)
-                candidates = [s1 for s1 in prefix_states if tab.step(s1, a, tab.YB) in vec]
-                others = [s1 for s1 in prefix_states if s1 not in candidates]
+                nvec = tab.pre_vector(vec, a)
+                others = [s1 for s1 in prefix_states if tab.step(s1, a, YB) not in vec]
                 for s1 in others:
-                    transitions.append(
-                        SfTransition(
-                            key,
-                            SfTest(prefix_test(s1), a, univ),
-                            ("walkL", ti, nvec),
-                            (),
-                            -1,
-                        )
-                    )
-                if others and nvec not in done_l:
-                    frontier.append(nvec)
-            if tab.step(tab.d.initial, LEFT_MARK, tab.YB) in vec:
-                transitions.append(
-                    SfTransition(key, SfTest(univ, LEFT_MARK, univ), tr.dst, (), 0)
-                )
+                    add(key, before(s1, a), a, univ, ("walkL", ti, nvec), (), -1)
+                if others:
+                    nexts.append(nvec)
+            land_left(key, d.initial, LEFT_MARK, vec)
+            return nexts
 
-        states.extend(("walkR", ti, s) for s in done_r)
-        states.extend(("walkL", ti, v) for v in done_l)
+        sigma_reach = tab.sigma_space()
+        vecs = tab.vector_space()
+        for s1 in prefix_states:
+            for a in base:
+                enter(s1, a)
+        for state in sigma_reach:
+            for a in base:
+                for vec in vecs:
+                    enter_left(state, a, vec)
+        enter(d.initial, LEFT_MARK)
+        for s1 in prefix_states:
+            enter(s1, RIGHT_MARK)
+        for state in sigma_reach:
+            enter_left(state, RIGHT_MARK, d.finals)
+
+        states.extend(("walkR", ti, s) for s in closure(walk_r, walk_right))
+        states.extend(("walkL", ti, v) for v in closure(walk_l, walk_left))
 
     return SfLookAroundTransducer(
         states=tuple(states),

@@ -222,6 +222,22 @@ def test_cli_check_equiv(capsys):
     assert code == 0 and out.strip().startswith("equivalent-up-to-4")
 
 
+def test_cli_check_equiv_from_the_empty_word(capsys):
+    # the transduction's domain has an ε disjunct, so it maps ε to ε as
+    # the machine does
+    code, out, _ = run_cli(
+        capsys,
+        "check-equiv",
+        data_path("fig1.2wt"),
+        data_path("example4.fot"),
+        "--min-len",
+        "0",
+        "--max-len",
+        "5",
+    )
+    assert code == 0 and out.strip() == "equivalent-up-to-5 (63 words)"
+
+
 def test_cli_json_deterministic(capsys):
     args = [
         "check-equiv",

@@ -729,6 +729,29 @@ def test_node_table_keeps_no_node_alive():
     assert not [key for key in _NODES.keys() if "g0" in key]
 
 
+def test_evaluated_nodes_die_without_the_cyclic_collector(registry):
+    # a plan lives on its node, so a plan that held the node would make a
+    # cycle that only the collector frees; names no other test uses make
+    # each node new.  The one TrueF node is a module constant of logic.
+    renaming = {"x": "wx", "y": "wy", "z": "wz"}
+    position = {"wx": 1, "wy": 2, "wz": 2}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, sample in NODE_SAMPLES.items():
+            if kind is TrueF:
+                continue
+            phi = subst_var(sample, renaming)
+            EvalSession("ab", registry).eval(phi, {v: position[v] for v in free_vars(phi)})
+            alive = weakref.ref(phi)
+            del phi
+            assert alive() is None, kind.__name__
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_copies_and_pickles_are_the_interned_node():
     phi = _shared_dag(3, BOUND_SIDE)
     for other in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):

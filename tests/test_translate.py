@@ -11,13 +11,25 @@ from twofst.machines import (
     AB,
     block_double,
     copier,
+    double_writer,
     erase_b_seq,
     identity_seq,
     parity_twoway,
     reverser,
 )
 from twofst.cli import parse, serialize_machine, serialize_sfla
-from twofst.logic import EvalSession, MonoidRegistry
+from twofst.logic import (
+    EvalSession,
+    Forall,
+    Letter,
+    MonoidRegistry,
+    compile_to_dfa,
+    conj,
+    implies,
+    neg,
+    var_eq,
+    var_lt,
+)
 from twofst.monoid import is_aperiodic, transition_monoid
 from twofst.translate import (
     DirectionAmbiguity,
@@ -34,6 +46,8 @@ from twofst.translate import (
     twoway_to_fot,
 )
 from twofst.lookaround import (
+    FoLookAroundTransducer,
+    FoTransition,
     SfLookAroundTransducer,
     SfTest,
     SfTransition,
@@ -45,12 +59,21 @@ from twofst.lookaround import (
 )
 from twofst.fot import fot_eval
 from twofst.twoway import context_path, make_twoway, simulate, trim
-from twofst.words import dfa_is_counter_free, dfa_universal, make_dfa, make_seq, seq_run, show_word
+from twofst.words import (
+    dfa_is_counter_free,
+    dfa_same_language,
+    dfa_universal,
+    make_dfa,
+    make_seq,
+    seq_run,
+    show_word,
+)
 
 from conftest import budget, data_path, words_upto
 from fot_expansion import expanded_twoway_to_fot
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+PERFBENCH_INPUTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs")
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +345,28 @@ def test_run_atoms_match_class_expansion(machine, max_len):
                             assert got.eval(f, xy) == want.eval(g, xy), (w, c, c2, i, j)
 
 
+@pytest.mark.parametrize("machine", [copier, reverser, double_writer], ids=lambda m: m.__name__)
+def test_run_atoms_compile_to_the_class_expansion(machine):
+    # the exact oracle: the domain, every position formula and every order
+    # formula define the same language as the class-atom expansion, on
+    # words of every length.  The running example takes 7-10 s, so it is
+    # left to the short-word comparison above.
+    t = machine()
+    reg, ref_reg = MonoidRegistry(), MonoidRegistry()
+    T = twoway_to_fot(t, reg, "M")
+    ref = expanded_twoway_to_fot(t, ref_reg, "M")
+    assert T.copies == ref.copies
+    pairs = [(T.dom, ref.dom, [])]
+    for c in T.copies:
+        pairs += [(T.pos_formula(c, b), ref.pos_formula(c, b), ["x"]) for b in T.out_alphabet]
+        pairs += [(T.order_formula(c, c2), ref.order_formula(c, c2), ["x", "y"]) for c2 in T.copies]
+    with budget(f"compiling {machine.__name__} and its expansion", 5.0):
+        for f, g, scope in pairs:
+            got = compile_to_dfa(f, scope, T.in_alphabet, reg)
+            want = compile_to_dfa(g, scope, T.in_alphabet, ref_reg)
+            assert dfa_same_language(got, want), (f, g)
+
+
 # ---------------------------------------------------------------------------
 # FOT -> look-around -> star-free -> plain
 
@@ -383,6 +428,40 @@ def test_sf_la_paths_refine_jumps(doubler_fot):
         keep = set(la.states)
         walked = [(q, p) for (q, p) in r_sf.path if q in keep]
         assert walked == list(r_la.path), w
+
+
+def test_walk_machine_moves_from_the_right_endmarker():
+    # the translated transductions never move from $, so their walk
+    # machines leave out its entries; this machine stays on $, walks left
+    # from it to the last a and to ^, and walks right to $
+    last_a = conj([
+        Letter("a", "y"),
+        var_lt("y", "x"),
+        Forall("z", implies(conj([var_lt("y", "z"), var_lt("z", "x")]), neg(Letter("a", "z")))),
+    ])
+    rows = [
+        ("i", "^", "r", (), Letter("$", "y")),
+        ("r", "$", "l", ("b",), last_a),
+        ("l", "a", "s", ("a",), Letter("$", "y")),
+        ("s", "$", "t", ("b",), var_eq("x", "y")),
+        ("t", "$", "u", (), Letter("^", "y")),
+        ("u", "^", "f", ("a",), Letter("$", "y")),
+    ]
+    la = FoLookAroundTransducer(
+        ("i", "r", "l", "s", "t", "u", "f"),
+        AB,
+        AB,
+        tuple(FoTransition(q, Letter(sym, "x"), q2, out, jump) for q, sym, q2, out, jump in rows),
+        "i",
+        frozenset({"f"}),
+    )
+    sf = fo_la_to_sf_la(la, None, bound=3)
+    plain = sf_la_to_plain(sf)
+    assert show_word(simulate_sf_la(sf, "abab").output) == "baba"
+    for w in words_upto(4):
+        want = simulate_fo_la(la, w).output
+        assert want == (tuple("baba") if "a" in w else None), w
+        assert simulate_sf_la(sf, w).output == simulate(plain, w).output == want, w
 
 
 def test_full_pipeline_example(doubler_fot, doubler_plain):
@@ -523,11 +602,37 @@ def test_sf_la_to_plain_caps_the_test_languages():
 # Round trips
 
 
-def fingerprint(t) -> tuple:
+def fingerprint(t, serialize=serialize_machine) -> tuple:
     """Length and sha256 prefix of the machine's file text: a construction
     that changes state names, their order or any row changes it."""
-    text = serialize_machine(t).encode()
+    text = serialize(t).encode()
     return len(text), hashlib.sha256(text).hexdigest()[:16]
+
+
+def from_file(name):
+    art = parse(os.path.join(PERFBENCH_INPUTS, name))
+    return art.value, art.registry
+
+
+def from_machine(machine):
+    reg = MonoidRegistry()
+    return twoway_to_fot(machine(), reg, "M"), reg
+
+
+@pytest.mark.parametrize(
+    "source, bytes_",
+    [
+        (lambda: from_file("doubler.fot"), (2288, "5a4a6720b0b2e68d")),
+        (lambda: from_machine(copier), (1220, "ab5de89d7d4ac38f")),
+        (lambda: from_machine(reverser), (1138, "79763deaf0482db5")),
+    ],
+    ids=["doubler", "copier", "reverser"],
+)
+def test_walk_machines_keep_their_bytes(source, bytes_):
+    # the star-free look-around machines the plain machines are built from
+    T, reg = source()
+    sf = fo_la_to_sf_la(fot_to_fo_lookaround(T), reg, 3)
+    assert fingerprint(sf, serialize_sfla) == bytes_
 
 
 @pytest.mark.parametrize(
