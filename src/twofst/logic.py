@@ -15,6 +15,7 @@ finite Boolean combinations of class atoms and stay first-order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count
 from operator import itemgetter
 from threading import Lock
@@ -187,7 +188,8 @@ class Forall(Formula):
     operator, shape = "forall", (("var", "bound"), ("body", "sub"))
 
 
-FALSE = Not(TrueF())
+_TRUE = TrueF()
+FALSE = Not(_TRUE)
 
 _RUN_ARITY = {"accept": 0, "visit": 1, "reach": 2}  # states, and as many variables
 _BY_OPERATOR = {
@@ -219,40 +221,26 @@ def _nodes(phi: Formula) -> list:
     return out
 
 
-def conj(args) -> Formula:
+def _flat(kind, unit, zero, args) -> Formula:
+    """``args`` joined by ``kind``, And or Or: ``unit`` drops out, ``zero``
+    absorbs, and a nested node of ``kind`` lends its own arguments."""
     flat = []
     for a in args:
-        if isinstance(a, TrueF):
-            continue
-        if a is FALSE:
-            return FALSE
-        if isinstance(a, And):
-            flat.extend(a.args)
-        else:
-            flat.append(a)
+        if a is zero:
+            return zero
+        if a is not unit:
+            flat.extend(a.args if type(a) is kind else (a,))
     if not flat:
-        return TrueF()
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+        return unit
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
+
+
+def conj(args) -> Formula:
+    return _flat(And, _TRUE, FALSE, args)
 
 
 def disj(args) -> Formula:
-    flat = []
-    for a in args:
-        if a is FALSE:
-            continue
-        if isinstance(a, TrueF):
-            return TrueF()
-        if isinstance(a, Or):
-            flat.extend(a.args)
-        else:
-            flat.append(a)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _flat(Or, FALSE, _TRUE, args)
 
 
 def neg(a: Formula) -> Formula:
@@ -673,24 +661,13 @@ class _Compiler:
             return self._letter(phi, scope, alpha)
         if isinstance(phi, Le):
             return self._le(phi, scope, alpha)
-        if isinstance(phi, PrefixClass):
-            return self._prefix_class(phi, scope, alpha)
-        if isinstance(phi, SuffixClass):
-            return self._suffix_class(phi, scope, alpha)
-        if isinstance(phi, FactorClass):
-            return self._factor_class(phi, scope, alpha)
+        if isinstance(phi, (PrefixClass, SuffixClass, FactorClass)):
+            return self._class_span(phi, scope, alpha)
         if isinstance(phi, RunAtom):
             return self._run_atom(phi, scope, alpha)
-        if isinstance(phi, And):
-            out = self.compile(phi.args[0], scope)
-            for a in phi.args[1:]:
-                out = dfa_intersect(out, self.compile(a, scope))
-            return out
-        if isinstance(phi, Or):
-            out = self.compile(phi.args[0], scope)
-            for a in phi.args[1:]:
-                out = dfa_union(out, self.compile(a, scope))
-            return out
+        if isinstance(phi, (And, Or)):
+            combine = dfa_intersect if isinstance(phi, And) else dfa_union
+            return reduce(combine, (self.compile(a, scope) for a in phi.args))
         if isinstance(phi, Not):
             return dfa_complement(self.compile(phi.arg, scope))
         if isinstance(phi, Exists):
@@ -753,84 +730,51 @@ class _Compiler:
             alpha, 5, 0, {3}, lambda s: (s[1][bx] == 1, s[1][by] == 1), step
         )
 
-    def _mono(self, name):
+    def _class_span(self, phi, scope, alpha) -> Dfa:
+        """A class atom: the class of a span of real letters is the atom's
+        element.  A prefix is open from the tape start and closes at its
+        variable, whose letter it leaves out; a suffix opens at its variable,
+        leaving its letter out, and runs to the tape end; a factor opens at
+        its left variable and closes at its right one, both letters in."""
         if self.registry is None:
             raise RegistryError("class atom used without a monoid registry")
-        return self.registry.monoid(name)
-
-    def _fold(self, m, e, base):
-        if base in (LEFT_MARK, RIGHT_MARK):
-            return e
-        return m.product(e, m.morphism[base])
-
-    def _prefix_class(self, phi: PrefixClass, scope, alpha) -> Dfa:
-        m = self._mono(phi.monoid)
+        m = self.registry.monoid(phi.monoid)
         target = self.registry.element(phi.monoid, phi.element)
-        bit = self._bit(scope, phi.var)
-        # 0: accept, 1: reject, 2 + i: prefix class m.elements[i]
-        elems = m.elements
-        num = {e: 2 + i for i, e in enumerate(elems)}
-
-        def step(q, key):
-            marked, base = key
-            if q < 2:
-                return q
-            e = elems[q - 2]
-            if marked:
-                return 0 if e == target else 1
-            return num[self._fold(m, e, base)]
-
-        d = dense_dfa(
-            alpha, 2 + len(elems), num[m.identity], {0}, lambda s: (s[1][bit] == 1, s[0]), step
-        )
-        return dfa_minimize(d)
-
-    def _suffix_class(self, phi: SuffixClass, scope, alpha) -> Dfa:
-        m = self._mono(phi.monoid)
-        target = self.registry.element(phi.monoid, phi.element)
-        bit = self._bit(scope, phi.var)
-        # 0: before the mark, 1 + i: suffix class m.elements[i]
-        elems = m.elements
-        num = {e: 1 + i for i, e in enumerate(elems)}
-
-        def step(q, key):
-            marked, base = key
-            if q == 0:
-                return num[m.identity] if marked else 0
-            return num[self._fold(m, elems[q - 1], base)]
-
-        d = dense_dfa(
-            alpha, 1 + len(elems), 0, {num[target]}, lambda s: (s[1][bit] == 1, s[0]), step
-        )
-        return dfa_minimize(d)
-
-    def _factor_class(self, phi: FactorClass, scope, alpha) -> Dfa:
-        m = self._mono(phi.monoid)
-        target = self.registry.element(phi.monoid, phi.element)
-        bx, by = self._bit(scope, phi.left), self._bit(scope, phi.right)
-        ident = m.identity
-        # 0: before x, 1: accept, 2: reject, 3 + i: factor class m.elements[i]
+        factor = isinstance(phi, FactorClass)
+        if factor:
+            opens, closes = phi.left, phi.right
+        elif isinstance(phi, PrefixClass):
+            opens, closes = None, phi.var
+        else:
+            opens, closes = phi.var, None
+        bo, bc = (None if v is None else self._bit(scope, v) for v in (opens, closes))
+        # 0: accept, 1: reject, 2: before the span, 3 + i: open, class m.elements[i]
         elems = m.elements
         num = {e: 3 + i for i, e in enumerate(elems)}
 
         def step(q, key):
-            x, y, base = key
-            if q in (1, 2):
+            opened, closed, base = key
+            if q < 2:
                 return q
-            if q == 0:
-                if x and y:
-                    return 1 if self._fold(m, ident, base) == target else 2
-                if x:
-                    return num[self._fold(m, ident, base)]
-                return 2 if y else 0  # right bound before left: malformed
-            f = self._fold(m, elems[q - 3], base)
-            if y:
-                return 1 if f == target else 2
-            return num[f]
+            if q == 2:
+                if not opened:
+                    return 1 if closed else 2  # a factor that closes before it opens
+                e = m.identity
+            else:
+                e = elems[q - 3]
+            if (factor or not (opened or closed)) and base not in (LEFT_MARK, RIGHT_MARK):
+                e = m.product(e, m.morphism[base])
+            if closed:
+                return 0 if e == target else 1
+            return num[e]
 
         d = dense_dfa(
-            alpha, 3 + len(elems), 0, {1},
-            lambda s: (s[1][bx] == 1, s[1][by] == 1, s[0]), step,
+            alpha,
+            3 + len(elems),
+            num[m.identity] if opens is None else 2,
+            {num[target]} if closes is None else {0},
+            lambda s: (bo is not None and s[1][bo] == 1, bc is not None and s[1][bc] == 1, s[0]),
+            step,
         )
         return dfa_minimize(d)
 

@@ -89,15 +89,6 @@ class BehaviorProfile:
         right = {p for p, _ in self.rl} & {p for p, _ in self.rr}
         return not left and not right
 
-    def show(self) -> str:
-        def fmt(pairs):
-            return "{" + ",".join(f"({p},{q})" for p, q in pairs) + "}"
-
-        return (
-            f"ll={fmt(self.ll)} lr={fmt(self.lr)} "
-            f"rl={fmt(self.rl)} rr={fmt(self.rr)}"
-        )
-
 
 def identity_profile(order) -> BehaviorProfile:
     n = len(order)

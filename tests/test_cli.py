@@ -269,6 +269,18 @@ def test_cli_compose_and_normalize(tmp_path, capsys):
     from twofst.twoway import simulate
 
     assert show_word(simulate(art.value, "abab").output) == "aabb"
+    code, _, _ = run_cli(
+        capsys,
+        "compose",
+        "--right",
+        data_path("erase_b.seq"),
+        data_path("fig1.2wt"),
+        "-o",
+        out_file,
+    )
+    assert code == 0
+    right = parse(out_file).value
+    assert [show_word(simulate(right, w).output) for w in ("aab", "abab")] == ["aabb", "aabb"]
     code, out, _ = run_cli(capsys, "normalize", data_path("fig1.2wt"))
     assert code == 0 and parse_text(out).kind == "2wt"
     code, out, _ = run_cli(capsys, "mirror", data_path("fig1.2wt"))
@@ -536,6 +548,17 @@ def test_cli_from_fot(tmp_path, capsys):
     from twofst.twoway import simulate
 
     assert show_word(simulate(art.value, "aababb").output) == "aabbab"
+    # the look-around stages before it parse back and agree with the file
+    for stage, lengths, words in [("fola", [], 30), ("sfla", ["--min-len", "0"], 31)]:
+        stage_file = str(tmp_path / f"from_fot.{stage}")
+        code, _, _ = run_cli(
+            capsys, "from-fot", data_path("example4.fot"), "--stage", stage, "-o", stage_file
+        )
+        assert code == 0 and parse(stage_file).kind == stage
+        code, out, _ = run_cli(
+            capsys, "check-equiv", data_path("example4.fot"), stage_file, "--max-len", "4", *lengths
+        )
+        assert code == 0 and out.strip() == f"equivalent-up-to-4 ({words} words)", out
 
 
 def mutants(text: str, seed: int, count: int):

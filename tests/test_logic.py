@@ -187,18 +187,46 @@ def test_compile_sentence_language(registry):
         assert dfa_accepts(d, tuple((c, ()) for c in w)) == want
 
 
-def test_compile_class_atoms_agree(doubler_monoid, registry):
-    phi = conj([Le("x", "y"), FactorClass("M", "ab", "x", "y")])
-    d = compile_to_dfa(phi, ["x", "y"], AB, registry)
-    for w in words_upto(4, min_len=1):
-        for i in range(1, len(w) + 1):
-            for j in range(1, len(w) + 1):
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_compile_class_atoms_agree(doubler_monoid, registry, marked):
+    # every element of the running example's monoid in every shape of class
+    # atom, on every word up to length 4 and every assignment, endmarkers
+    # included when marked; a factor that closes before it opens is false
+    atoms = []
+    for e in doubler_monoid.by_id:
+        atoms += [FactorClass("M", e, x, y) for x, y in ("xy", "yx", "xx")]
+        atoms += [PrefixClass("M", e, "x"), SuffixClass("M", e, "y")]
+    scope = ["x", "y"]
+    dfas = [compile_to_dfa(phi, scope, AB, registry, marked) for phi in atoms]
+    for w in words_upto(4):
+        session = EvalSession(w, registry, marked)
+        for phi, d in zip(atoms, dfas):
+            for cells in product(session.positions, repeat=2):
+                sigma = dict(zip(scope, cells))
                 try:
-                    want = eval_formula(phi, w, {"x": i, "y": j}, registry)
+                    want = session.eval(phi, sigma)
                 except MalformedClassAtom:
-                    want = False  # compiled form treats reversed bounds as false
-                got = dfa_accepts(d, mark_word(w, {"x": i, "y": j}, ["x", "y"]))
-                assert got == want, (w, i, j)
+                    want = False
+                got = dfa_accepts(d, mark_word(w, sigma, scope, marked))
+                assert got == want, (show_formula(phi), w, cells)
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["plain", "marked"])
+def test_compile_renames_a_quantifier_of_a_variable_in_scope(marked):
+    # the inner x is bound afresh, apart from the free x it shadows
+    formulas = [
+        parse_formula("(and (letter a x) (exists x (letter b x)))"),
+        parse_formula("(or (letter a x) (forall x (le x y)))"),
+    ]
+    scope = ["x", "y"]
+    for phi in formulas:
+        d = compile_to_dfa(phi, scope, AB, None, marked)
+        for w in words_upto(4):
+            session = EvalSession(w, None, marked)
+            for cells in product(session.positions, repeat=2):
+                sigma = dict(zip(scope, cells))
+                got = dfa_accepts(d, mark_word(w, sigma, scope, marked))
+                assert got == session.eval(phi, sigma), (show_formula(phi), w, cells)
 
 
 def test_compile_marked_mode(registry):

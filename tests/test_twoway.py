@@ -241,6 +241,20 @@ def test_normalize_splits_productions():
     assert is_normalized(nz)
     for w in words_upto(6):
         assert simulate(nz, w).output == simulate(dw, w).output, w
+    # three-letter productions chain two emission states; the chains of
+    # "abb" into q and "bb" into p end alike but are kept apart by target
+    rules = {
+        ("p", "^"): ("p", "", 1),
+        ("p", "a"): ("q", "aba", 1),
+        ("p", "b"): ("p", "bb", 1),
+        ("q", "a"): ("q", "abb", 1),
+        ("q", "b"): ("p", "", 1),
+    }
+    t = make_twoway(("p", "q"), AB, AB, "p", {"p", "q"}, rules)
+    nz = normalize(t)
+    assert is_normalized(nz) and len(nz.states) == 7
+    for w in words_upto(5):
+        assert simulate(nz, w).output == simulate(t, w).output, w
 
 
 def test_normalize_idempotent(doubler):
