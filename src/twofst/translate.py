@@ -34,6 +34,7 @@ from .words import (
 )
 from .twoway import (
     TwoWayTransducer,
+    contract_zero_moves,
     is_normalized,
     make_twoway,
     merge_equivalent,
@@ -102,7 +103,9 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
     (or an endmarker of the inner tape); hop transients recompute blocks when
     the simulated head leaves the window to the right, and the rewind modes
     rerun the one-way machine backwards on exits to the left, tracking
-    candidate states until they merge.
+    candidate states until they merge.  Each change of window lands with a
+    0-move; ``contract_zero_moves`` fuses it with the rules that follow it on
+    the same cell and drops the states that only 0-moves reached.
     """
     if a.out_alphabet != b.in_alphabet:
         raise AlphabetError("output alphabet of the sequential machine must feed b")
@@ -260,8 +263,8 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
     for r in seen:
         if r[0] == "r5" and r[2] in a.finals:
             finals.add(r)
-    states = tuple(seen)
-    return make_twoway(states, a.in_alphabet, b.out_alphabet, r0, finals, rules)
+    t = make_twoway(tuple(seen), a.in_alphabet, b.out_alphabet, r0, finals, rules)
+    return contract_zero_moves(t)
 
 
 def _pair_key(a: SequentialTransducer):

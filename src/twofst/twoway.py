@@ -401,6 +401,38 @@ def trim(t: TwoWayTransducer) -> TwoWayTransducer:
     )
 
 
+def contract_zero_moves(t: TwoWayTransducer) -> TwoWayTransducer:
+    """Fuse each chain of 0-moves into its first rule, then trim.
+
+    A 0-move reads the same cell again, so a rule ``(q, a) -> (r, out, 0)``
+    follows ``r``'s rule on ``a`` until one moves the head.  The chain stops
+    where a run would: at a missing rule, on ``$`` in a final state, and
+    before a second nonempty output, so outputs are never joined and a
+    normalized machine stays normalized.  A chain that returns to one of its
+    states is a 0-move loop; its rule stays as it was, and the run still
+    loops.  Outputs keep their cells, and runs keep their outputs and
+    reasons with no more steps than before."""
+    rules = {}
+    for (q, a), first in t.rules.items():
+        r, out, move = first
+        chain = {q}
+        while move == 0:
+            row = t.rules.get((r, a))
+            if row is None or (a == RIGHT_MARK and r in t.finals):
+                break
+            if r in chain:
+                r, out, move = first
+                break
+            if out and row[1]:
+                break
+            chain.add(r)
+            r, out, move = row[0], out + row[1], row[2]
+        rules[(q, a)] = (r, out, move)
+    return trim(
+        make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules)
+    )
+
+
 def merge_equivalent(t: TwoWayTransducer) -> TwoWayTransducer:
     """Quotient by the coarsest congruence on states (same finality and,
     blockwise, the same outgoing rows).  Preserves runs exactly."""

@@ -432,5 +432,5 @@ def test_plain_doubler_monoid_budget(doubler_plain):
     with budget("monoid of the plain doubler", 0.5):
         m = transition_monoid(doubler_plain)
         rep = is_aperiodic(m)
-    assert len(doubler_plain.states) == 339
-    assert (len(m.elements), rep.aperiodic, rep.index) == (90, True, 3)
+    assert len(doubler_plain.states) == 121
+    assert (len(m.elements), rep.aperiodic, rep.index) == (73, True, 3)

@@ -7,9 +7,12 @@ from collections import Counter
 
 import pytest
 
+from twofst import translate
 from twofst.machines import (
     AB,
     block_double,
+    block_doubler,
+    block_doubler_fot,
     copier,
     double_writer,
     erase_b_seq,
@@ -58,7 +61,7 @@ from twofst.lookaround import (
     simulate_sf_la,
 )
 from twofst.fot import fot_eval
-from twofst.twoway import context_path, make_twoway, simulate, trim
+from twofst.twoway import context_path, contract_zero_moves, is_normalized, make_twoway, simulate, trim
 from twofst.words import (
     dfa_is_counter_free,
     dfa_same_language,
@@ -637,7 +640,7 @@ def test_walk_machines_keep_their_bytes(source, bytes_):
 
 @pytest.mark.parametrize(
     "machine, bytes_",
-    [(copier, (4015, "94a30b3d3eac555a")), (reverser, (9057, "6c17e63c12536971"))],
+    [(copier, (830, "4a7794602a1a43e8")), (reverser, (2217, "62aebf828d1aea48"))],
     ids=["copier", "reverser"],
 )
 def test_round_trip_small_machines(machine, bytes_):
@@ -652,19 +655,65 @@ def test_round_trip_small_machines(machine, bytes_):
 
 
 def test_plain_doubler_keeps_its_bytes(doubler_plain):
-    assert fingerprint(doubler_plain) == (21339, "1215cc7742f597af")
+    assert fingerprint(doubler_plain) == (5950, "e442244530737e21")
+
+
+def eraser():
+    """Single-state eraser of b: aperiodic, partial productions."""
+    rules = {("e", "^"): ("e", "", 1), ("e", "a"): ("e", "a", 1), ("e", "b"): ("e", "", 1)}
+    return make_twoway(("e",), AB, AB, "e", {"e"}, rules)
 
 
 def test_round_trip_third_crafted_machine():
-    # single-state eraser: aperiodic, partial productions
-    rules = {("e", "^"): ("e", "", 1), ("e", "a"): ("e", "a", 1), ("e", "b"): ("e", "", 1)}
-    from twofst.twoway import make_twoway
-
-    t = make_twoway(("e",), AB, AB, "e", {"e"}, rules)
+    t = eraser()
     reg = MonoidRegistry()
     rt = fot_to_twoway(twoway_to_fot(t, reg, "M"), reg, bound=3)
     for w in words_upto(4):
         assert simulate(rt, w).output == simulate(t, w).output, w
+
+
+@pytest.mark.parametrize(
+    "source, unfused_bytes",
+    [
+        (lambda: from_machine(copier), (4015, "94a30b3d3eac555a")),
+        (lambda: from_machine(reverser), (9057, "6c17e63c12536971")),
+        (lambda: (block_doubler_fot(), None), (21339, "1215cc7742f597af")),
+    ],
+    ids=["copier", "reverser", "doubler"],
+)
+def test_fused_machines_run_like_unfused_ones(source, unfused_bytes, monkeypatch):
+    # with the contraction off, compose_seq_2w lands each change of window
+    # with a 0-move, as it did before contracting
+    T, reg = source()
+    sf = fo_la_to_sf_la(fot_to_fo_lookaround(T), reg, 3)
+    fused = sf_la_to_plain(sf)
+    monkeypatch.setattr(translate, "contract_zero_moves", lambda t: t)
+    unfused = sf_la_to_plain(sf)
+    assert fingerprint(unfused) == unfused_bytes
+    steps = Counter()
+    for w in words_upto(6):
+        got, want = simulate(fused, w), simulate(unfused, w)
+        assert (got.output, got.reason) == (want.output, want.reason), w
+        steps["fused"] += len(got.run.outputs)
+        steps["unfused"] += len(want.run.outputs)
+    assert steps["fused"] < steps["unfused"], steps
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fot_to_twoway(*from_machine(copier), bound=3),
+        lambda: fot_to_twoway(*from_machine(reverser), bound=3),
+        lambda: fot_to_twoway(*from_machine(eraser), bound=3),
+        lambda: fot_to_twoway(*from_machine(block_doubler), bound=2),
+        lambda: fot_to_twoway(block_doubler_fot(), None, bound=3),
+    ],
+    ids=["copier", "reverser", "eraser", "running-example", "doubler"],
+)
+def test_generated_machines_have_no_fusable_zero_move(build):
+    t = build()
+    assert dict(contract_zero_moves(t).rules) == dict(t.rules)
+    assert is_normalized(t)
 
 
 def test_fot_to_twoway_output_independent_of_hash_seed():
@@ -701,16 +750,16 @@ def test_round_trip_running_example(doubler):
     for w in words_upto(4, min_len=1):
         assert simulate(rt, w).output == simulate(doubler, w).output, w
     assert is_aperiodic(transition_monoid(rt)).aperiodic
-    assert fingerprint(rt) == (36447, "8b407213ba8d9b82")
+    assert fingerprint(rt) == (10216, "a82ab97d85ee9aaf")
 
 
 def test_reverse_round_trip_example(doubler_fot, doubler_plain):
-    # the 339-state plain doubler, whose monoid has 90 elements, back to a
+    # the 121-state plain doubler, whose monoid has 73 elements, back to a
     # transduction; its run atoms are evaluated, not compiled
     reg = MonoidRegistry()
     with budget("reverse round trip", 5.0):
         T2 = twoway_to_fot(doubler_plain, reg, "M")
-        # 11 of the 339 states produce a letter
-        assert len(T2.copies) == 11 and len(T2.order) == 121
+        # 18 of the 121 states produce a letter
+        assert len(T2.copies) == 18 and len(T2.order) == 324
         for w in words_upto(4, min_len=1):
             assert fot_eval(T2, w, reg).output == fot_eval(doubler_fot, w).output, w

@@ -17,6 +17,7 @@ from twofst.twoway import (
     TwoWayTransducer,
     behaviors,
     context_path,
+    contract_zero_moves,
     is_normalized,
     make_twoway,
     merge_equivalent,
@@ -313,6 +314,86 @@ def test_trim_keeps_reachable_states_in_order(doubler):
     for w in words_upto(4):
         assert simulate(trimmed, w).output == simulate(t, w).output, w
     assert trim(doubler) is doubler
+
+
+def _runs_agree(t, fused, n):
+    """``fused`` gives every word up to length ``n`` the output and stop
+    reason that ``t`` gives it, in no more steps."""
+    for w in words_upto(n):
+        got, want = simulate(fused, w), simulate(t, w)
+        assert (got.output, got.reason) == (want.output, want.reason), w
+        assert len(got.run.configs) <= len(want.run.configs), w
+
+
+def _fused(rules, finals=("s",)):
+    t = make_twoway(dict.fromkeys(q for q, _ in rules), AB, AB, "s", finals, rules)
+    fused = contract_zero_moves(t)
+    _runs_agree(t, fused, 4)
+    return t, fused
+
+
+COPY = {("s", "^"): ("s", "", 1), ("s", "b"): ("s", "b", 1)}
+
+
+def test_contract_joins_an_output_from_either_side():
+    # the letter comes first on a and last on b; the chains then move right
+    _, fused = _fused(
+        {**COPY, ("s", "a"): ("t", "a", 0), ("t", "a"): ("u", "", 0), ("u", "a"): ("s", "", 1),
+         ("s", "b"): ("v", "", 0), ("v", "b"): ("s", "b", 1)}
+    )
+    assert fused.states == ("s",)
+    assert dict(fused.rules) == {
+        ("s", "^"): ("s", (), 1), ("s", "a"): ("s", ("a",), 1), ("s", "b"): ("s", ("b",), 1)
+    }
+    assert simulate(fused, "ab").run.configs == (("s", 0), ("s", 1), ("s", 2), ("s", 3))
+
+
+def test_contract_stops_on_the_right_endmarker_in_a_final_state():
+    # "f" accepts on $, so its row there never fires and the chain ends in f
+    _, fused = _fused(
+        {**COPY, ("s", "$"): ("g", "", 0), ("g", "$"): ("f", "b", 0), ("f", "$"): ("s", "", -1)},
+        finals={"f"},
+    )
+    assert fused.rules[("s", "$")] == ("f", ("b",), 0)
+    assert simulate(fused, "b").output == ("b", "b")
+
+
+def test_contract_keeps_a_zero_move_loop():
+    rules = {**COPY, ("s", "a"): ("t", "", 0), ("t", "a"): ("u", "", 0), ("u", "a"): ("t", "", 0)}
+    t, fused = _fused(rules)
+    assert fused.rules == t.rules
+    assert simulate(fused, "ba").reason == "loop"
+
+
+def test_contract_stops_where_a_run_blocks():
+    _, fused = _fused({**COPY, ("s", "a"): ("t", "", 0), ("t", "a"): ("u", "a", 0), ("u", "b"): ("s", "", 1)})
+    assert fused.rules[("s", "a")] == ("u", ("a",), 0)
+    assert fused.states == ("s", "u")
+    assert simulate(fused, "a").reason == "blocked"
+
+
+def test_contract_never_joins_two_outputs():
+    _, fused = _fused({**COPY, ("s", "a"): ("u", "", 0), ("u", "a"): ("t", "a", 0), ("t", "a"): ("s", "b", 1)})
+    assert fused.rules[("s", "a")] == ("t", ("a",), 0)
+    assert fused.rules[("t", "a")] == ("s", ("b",), 1)
+    assert is_normalized(fused)
+    assert simulate(fused, "a").output == ("a", "b")
+
+
+def test_contract_preserves_runs_of_emission_chains_and_random_machines():
+    # each emission state writes a letter, so no emission chain fuses
+    t = normalize(double_writer())
+    fused = contract_zero_moves(t)
+    _runs_agree(t, fused, 6)
+    assert dict(fused.rules) == dict(t.rules)
+    rng = random.Random(24)
+    fused_rows = 0
+    for k in range(20):
+        t = _random_machine(rng, marked=k % 2 == 1)
+        fused = contract_zero_moves(t)
+        _runs_agree(t, fused, 6)
+        fused_rows += sum(row != t.rules[key] for key, row in fused.rules.items())
+    assert fused_rows >= 5
 
 
 def dict_merge_equivalent(t):
