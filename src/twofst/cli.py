@@ -625,7 +625,12 @@ def artifact_function(a: Artifact):
 
 def check_equiv(x: Artifact, y: Artifact, max_len: int, min_len: int = 1) -> EquivalenceReport:
     """Compare two word functions on every word of length min_len..max_len,
-    in length-lexicographic order, so a reported counterexample is minimal."""
+    in length-lexicographic order, so a reported counterexample is minimal.
+    An empty length range would give a verdict on no word, so it is refused."""
+    if min_len < 0 or max_len < min_len:
+        raise ValueError(
+            f"lengths need 0 <= min_len <= max_len, got min_len={min_len}, max_len={max_len}"
+        )
     fx = artifact_function(x)
     fy = artifact_function(y)
     if fx is None or fy is None:

@@ -23,7 +23,7 @@ from .words import (
     monoid_closure,
     show_word,
 )
-from .twoway import TwoWayTransducer, behaviors
+from .twoway import TwoWayTransducer
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,8 @@ def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
     read them, as the first and last segments of their chains.
     """
     ident = identity_profile(t.states)
-    letter_profiles = {a: behaviors(t, (a,)) for a in t.in_alphabet}
-    morphism = dict(letter_profiles)
-    morphism[LEFT_MARK] = _mark_profile(t, LEFT_MARK)
-    morphism[RIGHT_MARK] = _mark_profile(t, RIGHT_MARK)
+    morphism = {a: _cell_profile(t, a) for a in (*t.in_alphabet, LEFT_MARK, RIGHT_MARK)}
+    letter_profiles = {a: morphism[a] for a in t.in_alphabet}
     products = {}  # the element x letter products, which class_language_dfa reads
 
     def mul(x, y):
@@ -215,14 +213,15 @@ def transition_monoid(t: TwoWayTransducer) -> TransitionMonoid:
     return TransitionMonoid(t, tuple(reps), ident, morphism, reps, by_id, products)
 
 
-def _mark_profile(t: TwoWayTransducer, mark: str) -> BehaviorProfile:
-    """Profile of an endmarker cell; a run on it does not depend on the side
-    it entered from, so both halves of the code are equal.  On ``$`` a stop
-    in a final state reads as an exit to the right."""
+def _cell_profile(t: TwoWayTransducer, symbol) -> BehaviorProfile:
+    """Profile of one cell holding a letter or an endmarker; a run on it
+    does not depend on the side it entered from, so both halves of the code
+    are equal.  On ``$`` a stop in a final state reads as an exit to the
+    right."""
     index = t.table.index
     half = []
     for q in t.states:
-        _, r, move = cell_run(t, mark, q)
+        _, r, move = cell_run(t, symbol, q)
         half.append(2 * index[r] + (move > 0) if move else -1)
     return BehaviorProfile(t.states, tuple(half) * 2)
 

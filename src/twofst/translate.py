@@ -34,7 +34,7 @@ from .words import (
 )
 from .twoway import (
     TwoWayTransducer,
-    contract_zero_moves,
+    follow_zero_moves,
     is_normalized,
     make_twoway,
     merge_equivalent,
@@ -103,34 +103,15 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
     (or an endmarker of the inner tape); hop transients recompute blocks when
     the simulated head leaves the window to the right, and the rewind modes
     rerun the one-way machine backwards on exits to the left, tracking
-    candidate states until they merge.  Each change of window lands with a
-    0-move; ``contract_zero_moves`` fuses it with the rules that follow it on
-    the same cell and drops the states that only 0-moves reached.
+    candidate states until they merge.  A change of window is a 0-move of
+    ``rule``; each stored rule is already fused with the rules that follow it
+    on the same cell (``follow_zero_moves``), so the breadth-first loop only
+    makes the states that fused rules reach.
     """
     if a.out_alphabet != b.in_alphabet:
         raise AlphabetError("output alphabet of the sequential machine must feed b")
     if not is_normalized(b):
         raise NotNormalized("normalize the two-way machine first")
-
-    rules = {}
-    symbols = tuple(a.in_alphabet) + (LEFT_MARK, RIGHT_MARK)
-    # r1: (p, q, left, head, right) -- window = one production block; q is the
-    # one-way state before the current input letter
-    r0 = ("r1", b.initial, a.initial, (), LEFT_MARK, ())
-    finals = set()
-    seen = {r0: None}  # insertion-ordered, so state numbering is reproducible
-    queue = deque([r0])
-
-    def emit(state, x, target, out, move):
-        rules[(state, x)] = (target, out, move)
-        if target not in seen:
-            seen[target] = None
-            queue.append(target)
-
-    def pick_pair(rel, true_c, key):
-        q1 = next(s for (c, s) in sorted(rel, key=key) if c == true_c)
-        q2 = next((s for (c, s) in sorted(rel, key=key) if c != true_c), None)
-        return q1, q2
 
     key = _pair_key(a)
 
@@ -138,133 +119,118 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
         row = a.rules.get((q, x))
         return row and row[0]
 
-    while queue:
-        r = queue.popleft()
+    def enter_left(p, s, x):
+        # the inner head moves left onto the block that s writes on x
+        g = a.rules[(s, x)][1]
+        if g:
+            return ("r1", p, s, g[:-1], g[-1], ()), (), 0
+        return ("rw", p, s), (), -1
+
+    def rule(r, x):
+        """The row ``(target, output, move)`` of state ``r`` on ``x``, or None."""
         mode = r[0]
-        for x in symbols:
-            if mode == "r1":
-                _, p, q, left, head, right = r
-                if head == RIGHT_MARK and p in b.finals:
-                    emit(r, x, ("r5", p, q), (), 0)
-                    continue
-                if (p, head) not in b.rules:
-                    continue
-                p2, out, d = b.rules[(p, head)]
-                if d == 0:
-                    emit(r, x, ("r1", p2, q, left, head, right), out, 0)
-                elif d == 1 and right:
-                    emit(r, x, ("r1", p2, q, left + (head,), right[0], right[1:]), out, 0)
-                elif d == 1:
-                    if x == RIGHT_MARK:
-                        continue  # the inner head cannot pass the inner end
-                    q2 = step(q, x) if x != LEFT_MARK else q
-                    if q2 is None:
-                        continue
-                    emit(r, x, ("hr", p2, q2), out, 1)
-                elif d == -1 and left:
-                    emit(r, x, ("r1", p2, q, left[:-1], left[-1], (head,) + right), out, 0)
-                else:
-                    if x == LEFT_MARK:
-                        continue  # the inner head cannot pass the inner start
-                    emit(r, x, ("rw", p2, q), out, -1)
-            elif mode == "hr":
-                # the inner head moved right out of the window: find the next
-                # nonempty block
-                _, p, q = r
-                if x == LEFT_MARK:
-                    continue
+        if mode == "r1":
+            # (p, q, left, head, right) -- window = one production block; q
+            # is the one-way state before the current input letter
+            _, p, q, left, head, right = r
+            if head == RIGHT_MARK and p in b.finals:
+                return ("r5", p, q), (), 0
+            if (p, head) not in b.rules:
+                return None
+            p2, out, d = b.rules[(p, head)]
+            if d == 0:
+                return ("r1", p2, q, left, head, right), out, 0
+            if d == 1 and right:
+                return ("r1", p2, q, left + (head,), right[0], right[1:]), out, 0
+            if d == -1 and left:
+                return ("r1", p2, q, left[:-1], left[-1], (head,) + right), out, 0
+            if d == 1:
                 if x == RIGHT_MARK:
-                    if q in a.finals:
-                        emit(r, x, ("r1", p, q, (), RIGHT_MARK, ()), (), 0)
-                    continue
-                if (q, x) not in a.rules:
-                    continue
-                q2, g = a.rules[(q, x)]
-                if g:
-                    emit(r, x, ("r1", p, q, (), g[0], g[1:]), (), 0)
-                else:
-                    emit(r, x, ("hr", p, q2), (), 1)
-            elif mode == "rw":
-                # the inner head moved left out of the window: rebuild the
-                # previous nonempty block; q = one-way state after this letter
-                _, p, q = r
-                if x == LEFT_MARK:
-                    if q == a.initial:
-                        emit(r, x, ("r1", p, a.initial, (), LEFT_MARK, ()), (), 0)
-                    continue
-                if x == RIGHT_MARK:
-                    continue
-                cands = tuple(
-                    s for s in a.states if step(s, x) == q
-                )
-                if len(cands) == 1:
-                    s = cands[0]
-                    g = a.rules[(s, x)][1]
-                    if g:
-                        emit(r, x, ("r1", p, s, g[:-1], g[-1], ()), (), 0)
-                    else:
-                        emit(r, x, ("rw", p, s), (), -1)
-                elif len(cands) > 1:
-                    rel = frozenset((c, c) for c in cands)
-                    emit(r, x, ("rel", p, q, rel), (), -1)
-            elif mode == "rel":
-                # backward candidate tracking; q_target is the state the
-                # resolved candidate must step into (for the rerun at the end)
-                _, p, q_target, rel = r
-                if x == RIGHT_MARK:
-                    continue
-                if x == LEFT_MARK:
-                    true_c = next(
-                        (c for (c, s) in sorted(rel, key=key) if s == a.initial), None
-                    )
-                    if true_c is None:
-                        continue
-                    q1, q2 = pick_pair(rel, true_c, key)
-                    if q2 is None:
-                        continue
-                    emit(r, x, ("r3", p, q_target, q1, q2), (), 1)
-                    continue
+                    return None  # the inner head cannot pass the inner end
+                q2 = q if x == LEFT_MARK else step(q, x)
+                return None if q2 is None else (("hr", p2, q2), out, 1)
+            if x == LEFT_MARK:
+                return None  # the inner head cannot pass the inner start
+            return ("rw", p2, q), out, -1
+        if mode == "hr":
+            # the inner head moved right out of the window: find the next
+            # nonempty block
+            _, p, q = r
+            if x == RIGHT_MARK:
+                return (("r1", p, q, (), RIGHT_MARK, ()), (), 0) if q in a.finals else None
+            if x == LEFT_MARK or (q, x) not in a.rules:
+                return None
+            q2, g = a.rules[(q, x)]
+            if g:
+                return ("r1", p, q, (), g[0], g[1:]), (), 0
+            return ("hr", p, q2), (), 1
+        if mode == "rw":
+            # the inner head moved left out of the window: rebuild the
+            # previous nonempty block; q = one-way state after this letter
+            _, p, q = r
+            if x == LEFT_MARK:
+                return (("r1", p, q, (), LEFT_MARK, ()), (), 0) if q == a.initial else None
+            if x == RIGHT_MARK:
+                return None
+            cands = tuple(s for s in a.states if step(s, x) == q)
+            if len(cands) > 1:
+                return ("rel", p, q, frozenset((c, c) for c in cands)), (), -1
+            return enter_left(p, cands[0], x) if cands else None
+        if mode == "rel":
+            # backward candidate tracking; q_target is the state the
+            # resolved candidate must step into (for the rerun at the end)
+            _, p, q_target, rel = r
+            if x == RIGHT_MARK:
+                return None
+            pairs = sorted(rel, key=key)
+            if x == LEFT_MARK:
+                true_c = next((c for (c, s) in pairs if s == a.initial), None)
+                if true_c is None:
+                    return None
+            else:
                 nrel = frozenset(
-                    (c, s)
-                    for (c, s2) in rel
-                    for s in a.states
-                    if step(s, x) == s2
+                    (c, s) for (c, s2) in rel for s in a.states if step(s, x) == s2
                 )
                 remaining = {c for (c, _) in nrel}
                 if not remaining:
-                    continue
-                if len(remaining) == 1:
-                    true_c = next(iter(remaining))
-                    q1, q2 = pick_pair(rel, true_c, key)
-                    if q2 is None:
-                        continue
-                    emit(r, x, ("r3", p, q_target, q1, q2), (), 1)
-                else:
-                    emit(r, x, ("rel", p, q_target, nrel), (), -1)
-            elif mode == "r3":
-                # two concurrent forward runs; they merge exactly at the
-                # position whose block must be rebuilt
-                _, p, q_target, q1, q2 = r
-                if x in (LEFT_MARK, RIGHT_MARK):
-                    continue
-                if (q1, x) not in a.rules or (q2, x) not in a.rules:
-                    continue
-                (s1, g), s2 = a.rules[(q1, x)], a.rules[(q2, x)][0]
-                if s1 != s2:
-                    emit(r, x, ("r3", p, q_target, s1, s2), (), 1)
-                else:
-                    if g:
-                        emit(r, x, ("r1", p, q1, g[:-1], g[-1], ()), (), 0)
-                    else:
-                        emit(r, x, ("rw", p, q1), (), -1)
-            elif mode == "r5":
-                pass  # no transitions: acceptance is decided on arrival
+                    return None
+                if len(remaining) > 1:
+                    return ("rel", p, q_target, nrel), (), -1
+                (true_c,) = remaining
+            q1 = next(s for (c, s) in pairs if c == true_c)
+            q2 = next((s for (c, s) in pairs if c != true_c), None)
+            return None if q2 is None else (("r3", p, q_target, q1, q2), (), 1)
+        if mode == "r3":
+            # two concurrent forward runs; they merge exactly at the
+            # position whose block must be rebuilt
+            _, p, q_target, q1, q2 = r
+            if x in (LEFT_MARK, RIGHT_MARK) or (q1, x) not in a.rules or (q2, x) not in a.rules:
+                return None
+            s1, s2 = step(q1, x), step(q2, x)
+            if s1 != s2:
+                return ("r3", p, q_target, s1, s2), (), 1
+            return enter_left(p, q1, x)
+        return None  # r5: acceptance is decided on arrival
 
-    for r in seen:
-        if r[0] == "r5" and r[2] in a.finals:
-            finals.add(r)
-    t = make_twoway(tuple(seen), a.in_alphabet, b.out_alphabet, r0, finals, rules)
-    return contract_zero_moves(t)
+    def final(r):
+        return r[0] == "r5" and r[2] in a.finals
+
+    symbols = tuple(a.in_alphabet) + (LEFT_MARK, RIGHT_MARK)
+    r0 = ("r1", b.initial, a.initial, (), LEFT_MARK, ())
+    seen = {r0: None}  # insertion-ordered, so state numbering is reproducible
+    queue = deque([r0])
+    rules = {}
+    while queue:
+        r = queue.popleft()
+        for x in symbols:
+            row = follow_zero_moves(rule, final, r, x)
+            if row is not None:
+                rules[(r, x)] = row
+                if row[0] not in seen:
+                    seen[row[0]] = None
+                    queue.append(row[0])
+    finals = [r for r in seen if final(r)]
+    return make_twoway(tuple(seen), a.in_alphabet, b.out_alphabet, r0, finals, rules)
 
 
 def _pair_key(a: SequentialTransducer):
@@ -562,7 +528,12 @@ def fo_la_to_sf_la(
     Each move is one rule over any cell.  An endmarker is a cell whose prefix
     (at ``^``) or suffix (at ``$``) is empty; it differs from a letter only
     where the model forbids a move: none right from ``$``, none left from ``^``.
+
+    ``bound`` is the longest word the determinism check enumerates; a
+    negative one would check no word, so it is refused.
     """
+    if bound < 0:
+        raise ValueError(f"the determinism bound must be at least 0, got {bound}")
     if not check_fo_determinism(t, bound, registry):
         raise DirectionAmbiguity(
             "look-around machine failed the bounded determinism check"

@@ -401,36 +401,35 @@ def trim(t: TwoWayTransducer) -> TwoWayTransducer:
     )
 
 
-def contract_zero_moves(t: TwoWayTransducer) -> TwoWayTransducer:
-    """Fuse each chain of 0-moves into its first rule, then trim.
+def follow_zero_moves(rule, final, q, a):
+    """The row of ``q`` on ``a`` with its chain of 0-moves fused in.
 
-    A 0-move reads the same cell again, so a rule ``(q, a) -> (r, out, 0)``
-    follows ``r``'s rule on ``a`` until one moves the head.  The chain stops
-    where a run would: at a missing rule, on ``$`` in a final state, and
-    before a second nonempty output, so outputs are never joined and a
-    normalized machine stays normalized.  A chain that returns to one of its
-    states is a 0-move loop; its rule stays as it was, and the run still
-    loops.  Outputs keep their cells, and runs keep their outputs and
-    reasons with no more steps than before."""
-    rules = {}
-    for (q, a), first in t.rules.items():
-        r, out, move = first
-        chain = {q}
-        while move == 0:
-            row = t.rules.get((r, a))
-            if row is None or (a == RIGHT_MARK and r in t.finals):
-                break
-            if r in chain:
-                r, out, move = first
-                break
-            if out and row[1]:
-                break
-            chain.add(r)
-            r, out, move = row[0], out + row[1], row[2]
-        rules[(q, a)] = (r, out, move)
-    return trim(
-        make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules)
-    )
+    ``rule(state, symbol)`` gives a row ``(next state, output, move)`` or
+    None, and ``final(state)`` tells a final state.  A 0-move reads the same
+    cell again, so the row follows ``rule`` on ``a`` until one moves the
+    head.  The chain stops where a run would: at a missing rule, on ``$`` in
+    a final state, and before a second nonempty output, so outputs are never
+    joined and a normalized machine stays normalized.  A chain that returns
+    to one of its states is a 0-move loop; the first row is kept, and the run
+    still loops.  Outputs keep their cells, and runs keep their outputs and
+    reasons with no more steps than before.  None where ``rule(q, a)`` is
+    None."""
+    first = rule(q, a)
+    if first is None:
+        return None
+    r, out, move = first
+    seen = {q}
+    while move == 0:
+        row = rule(r, a)
+        if row is None or (a == RIGHT_MARK and final(r)):
+            break
+        if r in seen:
+            return first
+        if out and row[1]:
+            break
+        seen.add(r)
+        r, out, move = row[0], out + row[1], row[2]
+    return r, out, move
 
 
 def merge_equivalent(t: TwoWayTransducer) -> TwoWayTransducer:

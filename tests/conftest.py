@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from twofst.machines import AB, block_doubler, block_doubler_fot
-from twofst.twoway import make_twoway
+from twofst.twoway import follow_zero_moves, make_twoway, trim
 from twofst.monoid import transition_monoid
 from twofst.logic import MonoidRegistry
 
@@ -47,6 +47,16 @@ def _random_machine(rng, marked=False):
             if rng.random() < 0.8:
                 rules[(q, "$")] = (rng.choice(states), rng.choice(writes), rng.choice((0, -1)))
     return make_twoway(states, AB, AB, 0, finals, rules)
+
+
+def contract_zero_moves(t):
+    """``t`` with every rule fused with its chain of 0-moves by
+    ``twoway.follow_zero_moves``, trimmed to the states the fused rules reach."""
+    def rule(q, a):
+        return t.rules.get((q, a))
+
+    rules = {(q, a): follow_zero_moves(rule, t.finals.__contains__, q, a) for q, a in t.rules}
+    return trim(make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules))
 
 
 def words_upto(n, min_len=0):

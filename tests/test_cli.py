@@ -238,6 +238,27 @@ def test_cli_check_equiv_from_the_empty_word(capsys):
     assert code == 0 and out.strip() == "equivalent-up-to-5 (63 words)"
 
 
+@pytest.mark.parametrize(
+    "lengths",
+    [["--max-len", "2", "--min-len", "5"], ["--max-len", "-3"], ["--max-len", "2", "--min-len", "-1"]],
+    ids=["min-above-max", "negative-max", "negative-min"],
+)
+def test_cli_check_equiv_refuses_an_empty_length_range(capsys, lengths):
+    # a verdict on no word says nothing about the two files
+    code, out, err = run_cli(
+        capsys, "check-equiv", data_path("fig1.2wt"), data_path("example4.fot"), *lengths
+    )
+    assert code == 2 and out == "", out
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_cli_from_fot_refuses_a_negative_bound(capsys):
+    # a negative bound would let the determinism check enumerate no word
+    code, out, err = run_cli(capsys, "from-fot", data_path("example4.fot"), "--bound", "-1")
+    assert code == 2 and out == "", out
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_cli_json_deterministic(capsys):
     args = [
         "check-equiv",

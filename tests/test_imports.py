@@ -1,7 +1,7 @@
 """Every top-level import of a library module is used by that module, every
-top-level function or class of the library is referred to somewhere, and
-every optional parameter of a top-level library function is set by some
-call."""
+top-level function or class of the library is referred to somewhere, every
+optional parameter of a top-level library function is set by some call, and
+every source file parses with the grammar of the oldest supported Python."""
 import ast
 import os
 
@@ -173,3 +173,21 @@ def test_node_kinds_are_told_apart_only_in_logic():
         if module != "logic.py":
             with open(os.path.join(PACKAGE, module)) as f:
                 assert node_kind_tests(f.read(), kinds) == [], module
+
+
+# the floor of requires-python in pyproject.toml
+OLDEST_PYTHON = (3, 10)
+
+
+def test_scan_flags_newer_grammar():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("path", sorted(_python_files()), ids=lambda p: os.path.relpath(p, ROOT))
+def test_sources_parse_with_the_oldest_grammar(path):
+    # ``feature_version`` checks grammar only: a library call or a standard
+    # module that the oldest Python lacks still passes
+    with open(path) as f:
+        ast.parse(f.read(), filename=path, feature_version=OLDEST_PYTHON)

@@ -181,6 +181,18 @@ def test_cell_run_chains_through_every_state():
     assert cell_run(t, "^", 1) == ([1], 1, 1)
 
 
+def test_letter_profiles_are_simulated_behaviors(doubler):
+    # the monoid builds every one-cell profile from cell_run; on a letter it
+    # is the profile that simulating the one-letter factor gives
+    rng = random.Random(25)
+    machines = [doubler, copier(), reverser()]
+    machines += [_random_machine(rng, marked=k % 2 == 1) for k in range(40)]
+    for t in machines:
+        m = transition_monoid(t)
+        for a in t.in_alphabet:
+            assert m.morphism[a] == behaviors(t, (a,)), (t.rules, a)
+
+
 def test_glue_matches_walk_reference():
     rng = random.Random(2024)
     words = list(words_upto(3))

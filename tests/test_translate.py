@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -61,8 +61,10 @@ from twofst.lookaround import (
     simulate_sf_la,
 )
 from twofst.fot import fot_eval
-from twofst.twoway import context_path, contract_zero_moves, is_normalized, make_twoway, simulate, trim
+from twofst.twoway import context_path, is_normalized, make_twoway, simulate, trim
 from twofst.words import (
+    LEFT_MARK,
+    RIGHT_MARK,
     dfa_is_counter_free,
     dfa_same_language,
     dfa_universal,
@@ -72,7 +74,7 @@ from twofst.words import (
     show_word,
 )
 
-from conftest import budget, data_path, words_upto
+from conftest import budget, contract_zero_moves, data_path, words_upto
 from fot_expansion import expanded_twoway_to_fot
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -156,6 +158,23 @@ def test_compose_requires_normalized(doubler):
 
     with pytest.raises(NotNormalized):
         compose_seq_2w(identity_seq(), double_writer())
+
+
+def test_compose_keeps_a_zero_move_loop():
+    # on a, b steps t -> u -> t without moving; the fused rules keep the loop
+    rules = {
+        ("s", "^"): ("s", "", 1),
+        ("s", "b"): ("s", "b", 1),
+        ("s", "a"): ("t", "", 0),
+        ("t", "a"): ("u", "", 0),
+        ("u", "a"): ("t", "", 0),
+    }
+    b = make_twoway(("s", "t", "u"), AB, AB, "s", {"s"}, rules)
+    c = compose_seq_2w(identity_seq(), b)
+    for w in words_upto(4):
+        got, want = simulate(c, w), simulate(b, w)
+        assert (got.output, got.reason) == (want.output, want.reason), w
+    assert simulate(c, "ba").reason == "loop"
 
 
 def seq_index(t):
@@ -409,6 +428,16 @@ def test_fo_la_to_sf_la_example(doubler_fot):
         assert simulate_sf_la(sf, w).output == fot_eval(doubler_fot, w).output, w
 
 
+def test_fo_la_to_sf_la_refuses_a_negative_bound(doubler_fot):
+    # the determinism check would enumerate no word and pass vacuously
+    la = fot_to_fo_lookaround(doubler_fot)
+    for bound in (-1, -4):
+        with pytest.raises(ValueError, match="determinism bound"):
+            fo_la_to_sf_la(la, None, bound)
+    with pytest.raises(ValueError, match="determinism bound"):
+        fot_to_twoway(doubler_fot, None, bound=-1)
+
+
 def test_sf_la_tests_are_star_free(doubler_fot):
     la = fot_to_fo_lookaround(doubler_fot)
     sf = fo_la_to_sf_la(la, None, bound=3)
@@ -612,6 +641,27 @@ def fingerprint(t, serialize=serialize_machine) -> tuple:
     return len(text), hashlib.sha256(text).hexdigest()[:16]
 
 
+def canonical_fingerprint(t) -> tuple:
+    """``fingerprint`` of ``t`` with its states renumbered 0..n-1 in
+    breadth-first order from the initial state, reading symbols in
+    input-alphabet order, then ``^``, then ``$``: it changes with any row of
+    the machine but not with the names or the order of its states."""
+    symbols = (*t.in_alphabet, LEFT_MARK, RIGHT_MARK)
+    number = {t.initial: 0}
+    queue = deque([t.initial])
+    while queue:
+        q = queue.popleft()
+        for a in symbols:
+            row = t.rules.get((q, a))
+            if row and row[0] not in number:
+                number[row[0]] = len(number)
+                queue.append(row[0])
+    assert len(number) == len(t.states), "every state is reachable"
+    rules = {(number[q], a): (number[r], out, move) for (q, a), (r, out, move) in t.rules.items()}
+    finals = {number[q] for q in t.finals}
+    return fingerprint(make_twoway(range(len(number)), t.in_alphabet, t.out_alphabet, 0, finals, rules))
+
+
 def from_file(name):
     art = parse(os.path.join(PERFBENCH_INPUTS, name))
     return art.value, art.registry
@@ -639,11 +689,14 @@ def test_walk_machines_keep_their_bytes(source, bytes_):
 
 
 @pytest.mark.parametrize(
-    "machine, bytes_",
-    [(copier, (830, "4a7794602a1a43e8")), (reverser, (2217, "62aebf828d1aea48"))],
+    "machine, bytes_, shape",
+    [
+        (copier, (830, "2b3730b571f59860"), (735, "b252c1dc65b822cb")),
+        (reverser, (2214, "da38251152d3f65c"), (1963, "88921bc4f9d54ecb")),
+    ],
     ids=["copier", "reverser"],
 )
-def test_round_trip_small_machines(machine, bytes_):
+def test_round_trip_small_machines(machine, bytes_, shape):
     t = machine()
     reg = MonoidRegistry()
     with budget(f"round trip ({machine.__name__})", 8.0):
@@ -652,10 +705,30 @@ def test_round_trip_small_machines(machine, bytes_):
     for w in words_upto(4):  # the empty word too, which both machines map to itself
         assert simulate(rt, w).output == simulate(t, w).output, w
     assert fingerprint(rt) == bytes_
+    assert canonical_fingerprint(rt) == shape
 
 
 def test_plain_doubler_keeps_its_bytes(doubler_plain):
-    assert fingerprint(doubler_plain) == (5950, "e442244530737e21")
+    assert fingerprint(doubler_plain) == (5917, "5bb2b25ba1e066ad")
+    assert canonical_fingerprint(doubler_plain) == (5254, "ea6aaee039856296")
+
+
+def test_doubler_compositions_make_only_the_states_they_keep(monkeypatch):
+    # every state that compose_seq_2w makes is reached by a fused rule: the
+    # right and the left pass of sf_la_to_plain make 77 and 231 states
+    T, reg = from_file("doubler.fot")
+    sf = fo_la_to_sf_la(fot_to_fo_lookaround(T), reg, 3)
+    made, build = [], translate.make_twoway
+
+    def recording_build(*args):
+        t = build(*args)
+        made.append(len(t.states))
+        return t
+
+    monkeypatch.setattr(translate, "make_twoway", recording_build)
+    plain = sf_la_to_plain(sf)
+    assert made[1:] == [77, 231]  # the core machine comes first
+    assert len(plain.states) == 121
 
 
 def eraser():
@@ -682,12 +755,12 @@ def test_round_trip_third_crafted_machine():
     ids=["copier", "reverser", "doubler"],
 )
 def test_fused_machines_run_like_unfused_ones(source, unfused_bytes, monkeypatch):
-    # with the contraction off, compose_seq_2w lands each change of window
-    # with a 0-move, as it did before contracting
+    # with no 0-move chain followed, compose_seq_2w lands each change of
+    # window with a 0-move and makes every landing state
     T, reg = source()
     sf = fo_la_to_sf_la(fot_to_fo_lookaround(T), reg, 3)
     fused = sf_la_to_plain(sf)
-    monkeypatch.setattr(translate, "contract_zero_moves", lambda t: t)
+    monkeypatch.setattr(translate, "follow_zero_moves", lambda rule, final, q, a: rule(q, a))
     unfused = sf_la_to_plain(sf)
     assert fingerprint(unfused) == unfused_bytes
     steps = Counter()
@@ -750,7 +823,8 @@ def test_round_trip_running_example(doubler):
     for w in words_upto(4, min_len=1):
         assert simulate(rt, w).output == simulate(doubler, w).output, w
     assert is_aperiodic(transition_monoid(rt)).aperiodic
-    assert fingerprint(rt) == (10216, "a82ab97d85ee9aaf")
+    assert fingerprint(rt) == (10166, "9a63547bed211163")
+    assert canonical_fingerprint(rt) == (9067, "0ab54643f9bba009")
 
 
 def test_reverse_round_trip_example(doubler_fot, doubler_plain):

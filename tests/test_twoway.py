@@ -17,7 +17,6 @@ from twofst.twoway import (
     TwoWayTransducer,
     behaviors,
     context_path,
-    contract_zero_moves,
     is_normalized,
     make_twoway,
     merge_equivalent,
@@ -30,7 +29,7 @@ from twofst.twoway import (
 )
 from twofst.words import SymbolNotInAlphabet, alphabet, as_word, show_word
 
-from conftest import _random_machine, words_upto
+from conftest import _random_machine, contract_zero_moves, words_upto
 
 
 def test_running_example_output():
