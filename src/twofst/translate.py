@@ -49,6 +49,7 @@ from .logic import (
     Letter,
     MonoidRegistry,
     RunAtom,
+    TrueF,
     compile_to_dfas,
     conj,
     disj,
@@ -318,91 +319,58 @@ def twoway_to_fot(
 def fot_to_fo_lookaround(T: FoTransduction) -> FoLookAroundTransducer:
     """Machine whose head follows the output structure of the transduction.
 
-    States are the copies plus fresh initial and final states; the jump
-    formulas assert the successor relation of the output order restricted to
-    existing nodes, conjoined with the domain formula.
+    States are the copies plus ``init``, a first node on ``^``, and ``fin``,
+    a last node on ``$``.  Every transition follows one successor rule: its
+    jump asserts that the target node comes next in the output order,
+    conjoined with the domain formula.  A copy writes its node's letter;
+    ``init`` writes nothing.
     """
     init, fin = ("init",), ("fin",)
     copies = T.copies
 
     def star(c, var):
+        if c in (init, fin):
+            return Letter(LEFT_MARK if c == init else RIGHT_MARK, var)
         return subst_var(disj([T.pos_formula(c, bsym) for bsym in T.out_alphabet]), {"x": var})
 
     def order(c, c2, u, v):
+        # init comes before every node and fin after every node
+        if c == init or c2 == fin:
+            return TrueF()
+        if c2 == init or c == fin:
+            return FALSE
         return subst_var(T.order_formula(c, c2), {"x": u, "y": v})
 
-    def successor(c, c2):
-        inner = conj(
+    def jump(c, c2):
+        # no node lies between x and y; init and fin never lie between two nodes
+        between = conj(
             [
                 implies(star(d, "z"), disj([order(d, c, "z", "x"), order(c2, d, "y", "z")]))
                 for d in copies
             ]
         )
-        return conj([order(c, c2, "x", "y"), Forall("z", inner)])
+        # a node trivially satisfies the sandwich condition against
+        # itself, so same-copy successors must exclude the diagonal
+        strict = [neg(var_eq("x", "y"))] if c == c2 else []
+        return conj(
+            [order(c, c2, "x", "y"), Forall("z", between), star(c, "x"), star(c2, "y"), T.dom]
+            + strict
+        )
 
+    # the walk machine names its states by transition index, so this order
+    # fixes its bytes
+    pairs = [(c, c2) for c in (*copies, init) for c2 in copies]
+    pairs += [(c, fin) for c in (init, *copies)]
     transitions = []
-    for c in copies:
-        for c2 in copies:
-            # a node trivially satisfies the sandwich condition against
-            # itself, so same-copy successors must exclude the diagonal
-            strict = [neg(var_eq("x", "y"))] if c == c2 else []
-            jump = conj(
-                [successor(c, c2), star(c, "x"), star(c2, "y"), T.dom] + strict
-            )
-            for bsym in T.out_alphabet:
-                guard = T.pos_formula(c, bsym)
-                if guard == FALSE:
-                    continue
-                transitions.append(FoTransition(c, guard, c2, (bsym,), jump))
-
-    for c in copies:
-        first_c = conj(
-            [
-                star(c, "y"),
-                Forall(
-                    "x2",
-                    conj([implies(star(d, "x2"), order(c, d, "y", "x2")) for d in copies]),
-                ),
-            ]
-        )
-        transitions.append(
-            FoTransition(init, Letter(LEFT_MARK, "x"), c, (), conj([first_c, T.dom]))
-        )
-
-    no_nodes = Forall("z", conj([neg(star(c, "z")) for c in copies]))
-    transitions.append(
-        FoTransition(
-            init,
-            Letter(LEFT_MARK, "x"),
-            fin,
-            (),
-            conj([Letter(RIGHT_MARK, "y"), T.dom, no_nodes]),
-        )
-    )
-
-    for c in copies:
-        last_c = conj(
-            [
-                star(c, "x"),
-                Forall(
-                    "y2",
-                    conj([implies(star(d, "y2"), order(d, c, "y2", "x")) for d in copies]),
-                ),
-            ]
-        )
-        for bsym in T.out_alphabet:
-            guard = T.pos_formula(c, bsym)
-            if guard == FALSE:
-                continue
-            transitions.append(
-                FoTransition(
-                    c,
-                    conj([guard, last_c, T.dom]),
-                    fin,
-                    (bsym,),
-                    Letter(RIGHT_MARK, "y"),
-                )
-            )
+    for c, c2 in pairs:
+        if c == init:
+            writes = [(Letter(LEFT_MARK, "x"), ())]
+        else:
+            writes = [(T.pos_formula(c, bsym), (bsym,)) for bsym in T.out_alphabet]
+        succ = jump(c, c2)
+        for guard, out in writes:
+            if guard != FALSE:
+                transitions.append(FoTransition(c, guard, c2, out, succ))
 
     return FoLookAroundTransducer(
         states=tuple(copies) + (init, fin),

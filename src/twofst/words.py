@@ -571,6 +571,14 @@ class SequentialTransducer:
         object.__setattr__(self, "rules", MappingProxyType(rules))
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
+        states = set(self.states)
+        if not self.finals <= states:
+            raise ValueError("final states must be a subset of states")
+        for (q, a), (r, _) in rules.items():
+            if q not in states or r not in states:
+                raise ValueError(f"transition ({q!r}, {a!r}) leaves the state set")
+            if a not in self.in_alphabet:
+                raise ValueError(f"transition ({q!r}, {a!r}) reads a symbol outside the alphabet")
         if not all(b in self.out_alphabet for _, w in rules.values() for b in w):
             raise ValueError("a transition writes a symbol outside the output alphabet")
 

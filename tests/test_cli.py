@@ -210,6 +210,13 @@ def test_cli_monoid_dump(tmp_path, capsys):
     assert code == 2 and err == "error: unknown artifact type 'monoid-dump'\n"
 
 
+def test_cli_monoid_json(capsys):
+    code, out, _ = run_cli(capsys, "monoid", data_path("fig1.2wt"), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["elements"] == 9
+    assert len(payload["rows"]) == 9 and all(r.startswith("element ") for r in payload["rows"])
+
+
 def test_cli_check_equiv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -236,6 +243,38 @@ def test_cli_check_equiv_from_the_empty_word(capsys):
         "5",
     )
     assert code == 0 and out.strip() == "equivalent-up-to-5 (63 words)"
+
+
+def test_cli_check_equiv_reports_a_counterexample(tmp_path, capsys):
+    copier_file = tmp_path / "copier.2wt"
+    copier_file.write_text(serialize_machine(copier()))
+    args = ["check-equiv", data_path("fig1.2wt"), str(copier_file), "--max-len", "3"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1 and out == "counterexample 'a': ab vs a\n"
+    code, out, _ = run_cli(capsys, *args, "--json")
+    assert code == 1 and json.loads(out) == {
+        "verdict": "counterexample",
+        "max_len": 3,
+        "words_tested": 1,
+        "counterexample": "a",
+        "left": "ab",
+        "right": "a",
+    }
+
+
+def test_cli_check_equiv_refuses_different_input_alphabets(tmp_path, capsys):
+    ac = tmp_path / "ac.2wt"
+    ac.write_text(
+        "type: 2wt\ninput: a c\noutput: a c\nstates: q\ninitial: q\nfinal: q\n"
+        "q ^ -> q / - +1\nq a -> q / a +1\nq c -> q / c +1\n"
+    )
+    code, out, err = run_cli(capsys, "check-equiv", data_path("fig1.2wt"), str(ac), "--max-len", "2")
+    assert code == 2 and out == "" and err == "error: incompatible input alphabets\n", err
+
+
+def test_cli_refuses_a_file_of_the_wrong_kind(capsys):
+    code, out, err = run_cli(capsys, "to-fot", data_path("example4.fot"))
+    assert code == 2 and out == "" and err == "error: to-fot needs a 2wt file, not fot\n", err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from twofst.lookaround import (
     simulate_sf_la,
 )
 from twofst.logic import Letter, TrueF
-from twofst.translate import fot_to_fo_lookaround
+from twofst.translate import DirectionAmbiguity, fo_la_to_sf_la, fot_to_fo_lookaround
 from twofst.twoway import simulate
 from twofst.words import alphabet, dfa_universal, make_dfa, show_word
 from twofst.fot import fot_eval
@@ -138,6 +138,24 @@ def test_fo_la_jump_multiplicity_violation():
     t = FoLookAroundTransducer(("i", "f"), AB, AB, trans, "i", frozenset({"f"}))
     with pytest.raises(DeterminismViolation):
         simulate_fo_la(t, "a")
+
+
+@pytest.mark.parametrize(
+    "trans",
+    [
+        # the machines of the two tests above
+        (
+            FoTransition("i", TrueF(), "f", (), Letter("$", "y")),
+            FoTransition("i", TrueF(), "f", ("a",), Letter("$", "y")),
+        ),
+        (FoTransition("i", TrueF(), "f", (), TrueF()),),
+    ],
+    ids=["two-transitions", "many-targets"],
+)
+def test_fo_la_to_sf_la_refuses_a_nondeterministic_machine(trans):
+    t = FoLookAroundTransducer(("i", "f"), AB, AB, trans, "i", frozenset({"f"}))
+    with pytest.raises(DirectionAmbiguity, match="bounded determinism check"):
+        fo_la_to_sf_la(t, None, 2)
 
 
 def test_fo_la_blocked_is_undefined():

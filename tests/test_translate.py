@@ -678,8 +678,9 @@ def from_machine(machine):
         (lambda: from_file("doubler.fot"), (2288, "5a4a6720b0b2e68d")),
         (lambda: from_machine(copier), (1220, "ab5de89d7d4ac38f")),
         (lambda: from_machine(reverser), (1138, "79763deaf0482db5")),
+        (lambda: from_machine(double_writer), (1300, "160dedc4ee0c5d8e")),
     ],
-    ids=["doubler", "copier", "reverser"],
+    ids=["doubler", "copier", "reverser", "double_writer"],
 )
 def test_walk_machines_keep_their_bytes(source, bytes_):
     # the star-free look-around machines the plain machines are built from

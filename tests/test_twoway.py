@@ -80,6 +80,20 @@ def test_endmarker_move_validation():
         make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "$"): ("s", "", 1)})
 
 
+@pytest.mark.parametrize(
+    "states, finals, rules, message",
+    [
+        (("t",), {"t"}, {}, "initial state missing"),
+        (("s",), {"s", "t"}, {}, "subset of states"),
+        (("s",), {"s"}, {("s", "a"): ("s", "", 2)}, "illegal move"),
+    ],
+    ids=["initial", "final", "move"],
+)
+def test_machine_parts_stay_in_the_machine(states, finals, rules, message):
+    with pytest.raises(TwoWayError, match=message):
+        make_twoway(states, AB, AB, "s", finals, rules)
+
+
 def test_rows_stay_in_the_machine():
     with pytest.raises(TwoWayError, match="leaves the state set"):
         make_twoway(("s",), AB, AB, "s", {"s"}, {("s", "a"): ("t", "", 1)})

@@ -208,6 +208,21 @@ def test_seq_productions_stay_in_the_output_alphabet():
         make_seq((0,), AB, alphabet("a"), 0, {0}, {(0, "a"): (0, "a"), (0, "b"): (0, "b")})
 
 
+@pytest.mark.parametrize(
+    "finals, rules, message",
+    [
+        ({0}, {(1, "a"): (0, "a")}, "leaves the state set"),
+        ({0}, {(0, "a"): (7, "b")}, "leaves the state set"),
+        ({0}, {(0, "^"): (0, "a")}, "outside the alphabet"),
+        ({0, 7}, {(0, "a"): (0, "a")}, "subset of states"),
+    ],
+    ids=["source", "target", "symbol", "final"],
+)
+def test_seq_rules_stay_in_the_machine(finals, rules, message):
+    with pytest.raises(ValueError, match=message):
+        make_seq((0,), AB, AB, 0, finals, rules)
+
+
 @given(st.text(alphabet="ab", max_size=6), st.text(alphabet="ab", max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_seq_run_concat_on_total_single_state(u, v):
