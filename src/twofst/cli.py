@@ -750,7 +750,7 @@ def cmd_aperiodic(args) -> int:
 
 def cmd_compose(args) -> int:
     seq = _load(args.seq, "seq", "compose").value
-    b = normalize(_load(args.twoway, "2wt", "compose").value)
+    b = _load(args.twoway, "2wt", "compose").value
     if args.right:
         c = translate.compose_right_seq_2w(seq, b)
     else:

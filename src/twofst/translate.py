@@ -35,7 +35,6 @@ from .words import (
 from .twoway import (
     TwoWayTransducer,
     follow_zero_moves,
-    is_normalized,
     make_twoway,
     merge_equivalent,
     mirror,
@@ -73,10 +72,6 @@ class NotAperiodic(RuntimeError):
     pass
 
 
-class NotNormalized(ValueError):
-    pass
-
-
 class UnsupportedProduction(ValueError):
     """Runs of the translated machine must produce nothing on the endmarkers."""
 
@@ -100,19 +95,19 @@ MAX_TESTS = 64
 def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransducer:
     """Two-way transducer realizing ``w -> b(a(w))``.
 
-    The buffer window always holds the production block of one input letter
-    (or an endmarker of the inner tape); hop transients recompute blocks when
-    the simulated head leaves the window to the right, and the rewind modes
-    rerun the one-way machine backwards on exits to the left, tracking
-    candidate states until they merge.  A change of window is a 0-move of
-    ``rule``; each stored rule is already fused with the rules that follow it
-    on the same cell (``follow_zero_moves``), so the breadth-first loop only
-    makes the states that fused rules reach.
+    ``b`` may be any two-way machine; each of its rows, with a production
+    of any length, is simulated in one step.  The buffer window always
+    holds the production block of one input letter (or an endmarker of the
+    inner tape); hop transients recompute blocks when the simulated head
+    leaves the window to the right, and the rewind modes rerun the one-way
+    machine backwards on exits to the left, tracking candidate states until
+    they merge.  A change of window is a 0-move of ``rule``; each stored
+    rule is already fused with the rules that follow it on the same cell
+    (``follow_zero_moves``, which joins their outputs), so the breadth-first
+    loop only makes the states that fused rules reach.
     """
     if a.out_alphabet != b.in_alphabet:
         raise AlphabetError("output alphabet of the sequential machine must feed b")
-    if not is_normalized(b):
-        raise NotNormalized("normalize the two-way machine first")
 
     key = _pair_key(a)
 
@@ -244,7 +239,7 @@ def compose_right_seq_2w(
 ) -> TwoWayTransducer:
     """Compose a right-sequential preprocessor (a sequential transducer run
     on the reversed input, producing the reversed output) with ``b``."""
-    return trim(merge_equivalent(mirror(compose_seq_2w(a_right, mirror(normalize(b))))))
+    return trim(merge_equivalent(mirror(compose_seq_2w(a_right, mirror(b)))))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +318,14 @@ def fot_to_fo_lookaround(T: FoTransduction) -> FoLookAroundTransducer:
     a last node on ``$``.  Every transition follows one successor rule: its
     jump asserts that the target node comes next in the output order,
     conjoined with the domain formula.  A copy writes its node's letter;
-    ``init`` writes nothing.
+    ``init`` writes nothing.  A copy named ``("init",)`` or ``("fin",)``
+    raises ``ValueError``.
     """
     init, fin = ("init",), ("fin",)
     copies = T.copies
+    for c in (init, fin):
+        if c in copies:
+            raise ValueError(f"copy {c!r} has the name of a virtual node")
 
     def star(c, var):
         if c in (init, fin):

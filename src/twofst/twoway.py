@@ -407,12 +407,12 @@ def follow_zero_moves(rule, final, q, a):
     ``rule(state, symbol)`` gives a row ``(next state, output, move)`` or
     None, and ``final(state)`` tells a final state.  A 0-move reads the same
     cell again, so the row follows ``rule`` on ``a`` until one moves the
-    head.  The chain stops where a run would: at a missing rule, on ``$`` in
-    a final state, and before a second nonempty output, so outputs are never
-    joined and a normalized machine stays normalized.  A chain that returns
-    to one of its states is a 0-move loop; the first row is kept, and the run
-    still loops.  Outputs keep their cells, and runs keep their outputs and
-    reasons with no more steps than before.  None where ``rule(q, a)`` is
+    head.  The chain stops where a run would: at a missing rule and on ``$``
+    in a final state.  A chain that returns to one of its states is a 0-move
+    loop; the first row is kept, and the run still loops.  The outputs along
+    the chain are joined into one production, so a fused row may write
+    several letters; outputs keep their cells, and runs keep their outputs
+    and reasons with no more steps than before.  None where ``rule(q, a)`` is
     None."""
     first = rule(q, a)
     if first is None:
@@ -425,8 +425,6 @@ def follow_zero_moves(rule, final, q, a):
             break
         if r in seen:
             return first
-        if out and row[1]:
-            break
         seen.add(r)
         r, out, move = row[0], out + row[1], row[2]
     return r, out, move

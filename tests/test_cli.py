@@ -30,7 +30,7 @@ from twofst.monoid import transition_monoid
 from twofst.translate import fot_to_fo_lookaround, fo_la_to_sf_la, twoway_to_fot
 from twofst.words import alphabet, show_word
 
-from conftest import data_path
+from conftest import data_path, words_upto
 
 
 def test_parse_running_example_file():
@@ -343,6 +343,31 @@ def test_cli_compose_and_normalize(tmp_path, capsys):
     assert [show_word(simulate(right, w).output) for w in ("aab", "abab")] == ["aabb", "aabb"]
     code, out, _ = run_cli(capsys, "normalize", data_path("fig1.2wt"))
     assert code == 0 and parse_text(out).kind == "2wt"
+
+
+@pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+def test_cli_compose_takes_an_unnormalized_machine(right, tmp_path, capsys):
+    # double_writer writes two letters per step; the sequential machine is
+    # undefined on an odd number of a's and writes up to two letters
+    from twofst.machines import double_writer
+    from twofst.twoway import simulate
+    from twofst.words import make_seq, seq_run
+
+    rules = {(0, "a"): (1, "ab"), (1, "a"): (0, ""), (0, "b"): (0, "b"), (1, "b"): (1, "ba")}
+    seq = make_seq((0, 1), AB, AB, 0, {0}, rules)
+    dw = double_writer()
+    (tmp_path / "m.seq").write_text(serialize_seq(seq))
+    (tmp_path / "dw.2wt").write_text(serialize_machine(dw))
+    argv = ["compose", *(["--right"] if right else []), str(tmp_path / "m.seq"), str(tmp_path / "dw.2wt")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    c = parse_text(out).value
+    for w in words_upto(5):
+        mid = seq_run(seq, w[::-1] if right else w)
+        if right and mid is not None:
+            mid = mid[::-1]
+        want = simulate(dw, mid).output if mid is not None else None
+        assert simulate(c, w).output == want, w
     code, out, _ = run_cli(capsys, "mirror", data_path("fig1.2wt"))
     assert code == 0
     mirrored = parse_text(out).value

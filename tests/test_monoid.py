@@ -444,5 +444,5 @@ def test_plain_doubler_monoid_budget(doubler_plain):
     with budget("monoid of the plain doubler", 0.5):
         m = transition_monoid(doubler_plain)
         rep = is_aperiodic(m)
-    assert len(doubler_plain.states) == 121
+    assert len(doubler_plain.states) == 119
     assert (len(m.elements), rep.aperiodic, rep.index) == (73, True, 3)

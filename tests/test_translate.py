@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter, deque
@@ -26,6 +27,7 @@ from twofst.logic import (
     Forall,
     Letter,
     MonoidRegistry,
+    TrueF,
     compile_to_dfa,
     conj,
     implies,
@@ -37,7 +39,6 @@ from twofst.monoid import is_aperiodic, transition_monoid
 from twofst.translate import (
     DirectionAmbiguity,
     NotAperiodic,
-    NotNormalized,
     TooManyTests,
     UnsupportedProduction,
     compose_right_seq_2w,
@@ -60,8 +61,8 @@ from twofst.lookaround import (
     simulate_fo_la,
     simulate_sf_la,
 )
-from twofst.fot import fot_eval
-from twofst.twoway import context_path, is_normalized, make_twoway, simulate, trim
+from twofst.fot import FoTransduction, fot_eval
+from twofst.twoway import context_path, make_twoway, simulate, trim
 from twofst.words import (
     LEFT_MARK,
     RIGHT_MARK,
@@ -74,7 +75,7 @@ from twofst.words import (
     show_word,
 )
 
-from conftest import budget, contract_zero_moves, data_path, words_upto
+from conftest import _random_machine, budget, contract_zero_moves, data_path, words_upto
 from fot_expansion import expanded_twoway_to_fot
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -153,13 +154,6 @@ def test_compose_rejecting_final_states(doubler):
         assert simulate(c, w).output == want, w
 
 
-def test_compose_requires_normalized(doubler):
-    from twofst.machines import double_writer
-
-    with pytest.raises(NotNormalized):
-        compose_seq_2w(identity_seq(), double_writer())
-
-
 def test_compose_keeps_a_zero_move_loop():
     # on a, b steps t -> u -> t without moving; the fused rules keep the loop
     rules = {
@@ -175,6 +169,41 @@ def test_compose_keeps_a_zero_move_loop():
         got, want = simulate(c, w), simulate(b, w)
         assert (got.output, got.reason) == (want.output, want.reason), w
     assert simulate(c, "ba").reason == "loop"
+
+
+def _random_seq(rng):
+    """1 to 3 states over {a, b}; rows may be missing and write up to two
+    letters, and some states are not final, so the one-way run may be
+    undefined."""
+    states = tuple(range(rng.randint(1, 3)))
+    rules = {
+        (q, a): (rng.choice(states), "".join(rng.choice("ab") for _ in range(rng.randint(0, 2))))
+        for q in states
+        for a in "ab"
+        if rng.random() < 0.9
+    }
+    finals = {q for q in states if rng.random() < 0.7} or {states[-1]}
+    return make_seq(states, AB, AB, 0, finals, rules)
+
+
+def test_compose_matches_seq_run_then_simulate_on_unnormalized_machines():
+    # every row of the random two-way machine may write two letters, on the
+    # endmarkers too, so its productions are not normalized
+    rng = random.Random(28)
+    defined = 0
+    for k in range(200):
+        t = _random_machine(rng, marked=k % 2 == 1)
+        rules = {key: (r, out + tuple(rng.choice(("", "a", "b"))), d) for key, (r, out, d) in t.rules.items()}
+        rules[(0, "^")] = (0, "ab", 1)
+        b = make_twoway(t.states, AB, AB, 0, t.finals, rules)
+        a = _random_seq(rng)
+        c = compose_seq_2w(a, b)
+        for w in words_upto(6):
+            mid = seq_run(a, w)
+            want = simulate(b, mid).output if mid is not None else None
+            assert simulate(c, w).output == want, (k, w)
+            defined += want is not None
+    assert defined >= 1000, defined
 
 
 def seq_index(t):
@@ -399,6 +428,36 @@ def test_fot_to_fo_lookaround_example(doubler_fot):
     assert check_fo_determinism(la, 5)
     for w in words_upto(5, min_len=1):
         assert simulate_fo_la(la, w).output == fot_eval(doubler_fot, w).output, w
+
+
+def _one_copy_fot(name, dom):
+    """One copy ``name`` that writes each ``a`` of the word, in word order."""
+    pos = {(name, "a"): Letter("a", "x")}
+    return FoTransduction(AB, AB, dom, (name,), pos, {(name, name): neg(var_lt("y", "x"))})
+
+
+@pytest.mark.parametrize("name", [("init",), ("fin",)], ids=["init", "fin"])
+def test_fot_to_fo_lookaround_refuses_a_copy_named_as_a_virtual_node(name):
+    # the copy would share its state with init or fin of the jump machine
+    T = _one_copy_fot(name, TrueF())
+    assert fot_eval(T, "ab").output == ("a",)
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        fot_to_fo_lookaround(T)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the jumps copy dom, pos and le, written for positions 1..n, and"
+    " are evaluated on ^ w $, so their quantifiers also range over the endmarkers",
+)
+def test_from_fot_quantifiers_range_over_letters_only(doubler_fot, doubler_plain):
+    # dom holds on a^n, but the machine is undefined on every word; the
+    # doubler's dom asks for a first and a last position, which ^ and $
+    # provide on the empty word, so its machine writes ε there
+    T = _one_copy_fot("c", Forall("z", Letter("a", "z")))
+    cases = [(T, fot_to_twoway(T, None, bound=3), words_upto(3)), (doubler_fot, doubler_plain, [""])]
+    wrong = [w for T, t, words in cases for w in words if simulate(t, w).output != fot_eval(T, w).output]
+    assert not wrong, wrong
 
 
 def test_fo_lookaround_contextual_aperiodicity(doubler_fot):
@@ -710,13 +769,13 @@ def test_round_trip_small_machines(machine, bytes_, shape):
 
 
 def test_plain_doubler_keeps_its_bytes(doubler_plain):
-    assert fingerprint(doubler_plain) == (5917, "5bb2b25ba1e066ad")
-    assert canonical_fingerprint(doubler_plain) == (5254, "ea6aaee039856296")
+    assert fingerprint(doubler_plain) == (5790, "8415a0b127c7ff7d")
+    assert canonical_fingerprint(doubler_plain) == (5141, "1202cdc7631c9668")
 
 
 def test_doubler_compositions_make_only_the_states_they_keep(monkeypatch):
     # every state that compose_seq_2w makes is reached by a fused rule: the
-    # right and the left pass of sf_la_to_plain make 77 and 231 states
+    # right and the left pass of sf_la_to_plain make 75 and 226 states
     T, reg = from_file("doubler.fot")
     sf = fo_la_to_sf_la(fot_to_fo_lookaround(T), reg, 3)
     made, build = [], translate.make_twoway
@@ -728,8 +787,8 @@ def test_doubler_compositions_make_only_the_states_they_keep(monkeypatch):
 
     monkeypatch.setattr(translate, "make_twoway", recording_build)
     plain = sf_la_to_plain(sf)
-    assert made[1:] == [77, 231]  # the core machine comes first
-    assert len(plain.states) == 121
+    assert made[1:] == [75, 226]  # the core machine comes first
+    assert len(plain.states) == 119
 
 
 def eraser():
@@ -787,7 +846,6 @@ def test_fused_machines_run_like_unfused_ones(source, unfused_bytes, monkeypatch
 def test_generated_machines_have_no_fusable_zero_move(build):
     t = build()
     assert dict(contract_zero_moves(t).rules) == dict(t.rules)
-    assert is_normalized(t)
 
 
 def test_fot_to_twoway_output_independent_of_hash_seed():
@@ -824,17 +882,17 @@ def test_round_trip_running_example(doubler):
     for w in words_upto(4, min_len=1):
         assert simulate(rt, w).output == simulate(doubler, w).output, w
     assert is_aperiodic(transition_monoid(rt)).aperiodic
-    assert fingerprint(rt) == (10166, "9a63547bed211163")
-    assert canonical_fingerprint(rt) == (9067, "0ab54643f9bba009")
+    assert fingerprint(rt) == (9903, "c14978fbfc102c9e")
+    assert canonical_fingerprint(rt) == (8832, "be62f61e8ca7671c")
 
 
 def test_reverse_round_trip_example(doubler_fot, doubler_plain):
-    # the 121-state plain doubler, whose monoid has 73 elements, back to a
+    # the 119-state plain doubler, whose monoid has 73 elements, back to a
     # transduction; its run atoms are evaluated, not compiled
     reg = MonoidRegistry()
     with budget("reverse round trip", 5.0):
         T2 = twoway_to_fot(doubler_plain, reg, "M")
-        # 18 of the 121 states produce a letter
+        # 18 of the 119 states produce a letter
         assert len(T2.copies) == 18 and len(T2.order) == 324
         for w in words_upto(4, min_len=1):
             assert fot_eval(T2, w, reg).output == fot_eval(doubler_fot, w).output, w

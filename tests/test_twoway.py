@@ -385,20 +385,20 @@ def test_contract_stops_where_a_run_blocks():
     assert simulate(fused, "a").reason == "blocked"
 
 
-def test_contract_never_joins_two_outputs():
+def test_contract_joins_two_outputs():
     _, fused = _fused({**COPY, ("s", "a"): ("u", "", 0), ("u", "a"): ("t", "a", 0), ("t", "a"): ("s", "b", 1)})
-    assert fused.rules[("s", "a")] == ("t", ("a",), 0)
-    assert fused.rules[("t", "a")] == ("s", ("b",), 1)
-    assert is_normalized(fused)
+    assert fused.states == ("s",)
+    assert fused.rules[("s", "a")] == ("s", ("a", "b"), 1)
+    assert not is_normalized(fused)
     assert simulate(fused, "a").output == ("a", "b")
 
 
 def test_contract_preserves_runs_of_emission_chains_and_random_machines():
-    # each emission state writes a letter, so no emission chain fuses
+    # every emission chain fuses back into the multi-letter row it came from
     t = normalize(double_writer())
     fused = contract_zero_moves(t)
     _runs_agree(t, fused, 6)
-    assert dict(fused.rules) == dict(t.rules)
+    assert dict(fused.rules) == dict(double_writer().rules)
     rng = random.Random(24)
     fused_rows = 0
     for k in range(20):
