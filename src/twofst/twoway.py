@@ -12,7 +12,8 @@ use; the ``rules`` mapping is read-only, so it cannot go stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -125,15 +126,46 @@ class Run:
     accepted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
+    """The outcome of a run: its output (None where undefined), why it is
+    undefined, and ``steps``, the number of steps it took.
+
+    ``run`` is built on first access from the ``StepTable`` rows the run
+    took, and cached on the instance as ``TwoWayTransducer.table`` is."""
+
     output: Optional[Word]
-    run: Run
-    reason: Optional[str] = None  # None | "blocked" | "loop" | "rejected"
+    reason: Optional[str]  # None | "blocked" | "loop" | "rejected"
+    _word: Word = field(repr=False)
+    _start: object = field(repr=False)  # the initial state
+    _taken: list = field(repr=False)  # the rows taken, one per step
+    _run: Optional[Run] = field(default=None, init=False, repr=False)
 
     @property
     def defined(self) -> bool:
         return self.output is not None
+
+    @property
+    def steps(self) -> int:
+        return len(self._taken)
+
+    @property
+    def run(self) -> Run:
+        got = self._run
+        if got is None:
+            configs = tuple(_configs(self._start, self._taken))
+            outputs = tuple(map(itemgetter(2), self._taken))
+            got = Run(self._word, configs, outputs, self.reason is None)
+            object.__setattr__(self, "_run", got)
+        return got
+
+
+def _configs(start, taken):
+    """The configurations, one by one, of a run that starts in ``start`` at
+    position 0 and takes the table rows ``taken``: the states are the rows'
+    next states and the positions the running sums of their moves."""
+    states = chain((start,), map(itemgetter(3), taken))
+    return zip(states, accumulate(map(itemgetter(1), taken), initial=0))
 
 
 def tape_symbol(w: Word, pos: int):
@@ -147,10 +179,12 @@ def tape_symbol(w: Word, pos: int):
 def simulate(t: TwoWayTransducer, w) -> SimResult:
     """Run ``t`` on ``w`` by stepping its table.
 
+    Each step keeps a reference to the table row it took and allocates
+    nothing; the result's ``run`` is built from those rows on first access.
     A run over ``n`` letters has |Q|·(n+2) configurations, so a
     deterministic run that takes that many steps has repeated one.  The
-    walk then stops and cuts the run back to the first repetition: a looping
-    run ends at its first repeated configuration."""
+    walk then stops and ``_cut_loop`` cuts the run back to the first
+    repetition: a looping run ends at its first repeated configuration."""
     w = as_word(w)
     table = t.table
     width, rows = table.width, table.rows
@@ -160,34 +194,37 @@ def simulate(t: TwoWayTransducer, w) -> SimResult:
         t.in_alphabet.word(w)  # raises SymbolNotInAlphabet for the first stray symbol
         raise
     q, pos = table.index[t.initial] * width, 0
-    configs, outputs = [(t.initial, 0)], []
-    add_config, add_output = configs.append, outputs.append
+    taken = []
+    take = taken.append
     for _ in range(len(t.states) * (len(w) + 2)):
         row = rows[q + tape[pos]]
         if row is None:
             break
-        q, move, out, state = row
+        q, move, _, _ = row
         pos += move
-        add_output(out)
-        add_config((state, pos))
+        take(row)
     else:
-        return _cut_loop(w, configs, outputs)
+        return _cut_loop(w, t.initial, taken)
     last = len(w) + 1
     if pos == last and table.final[q // width]:
-        run = Run(w, tuple(configs), tuple(outputs), True)
-        return SimResult(tuple(chain.from_iterable(outputs)), run)
-    run = Run(w, tuple(configs), tuple(outputs), False)
-    return SimResult(None, run, "rejected" if pos == last else "blocked")
+        output = tuple(chain.from_iterable(map(itemgetter(2), taken)))
+        return SimResult(output, None, w, t.initial, taken)
+    return SimResult(None, "rejected" if pos == last else "blocked", w, t.initial, taken)
 
 
-def _cut_loop(w: Word, configs: list, outputs: list) -> SimResult:
-    """The looping run that ends at the first repeated configuration."""
+def _cut_loop(w: Word, start, taken: list) -> SimResult:
+    """The looping run cut back to its first repeated configuration.
+
+    ``taken`` holds every step of the walk up to the step bound.  The
+    configurations are built one by one up to the first repetition, so a
+    looping run costs the whole bound in steps but only its cut length in
+    configurations."""
     seen = set()
-    for j, c in enumerate(configs):
+    for j, c in enumerate(_configs(start, taken)):
         if c in seen:
             break
         seen.add(c)
-    return SimResult(None, Run(w, tuple(configs[: j + 1]), tuple(outputs[:j]), False), "loop")
+    return SimResult(None, "loop", w, start, taken[:j])
 
 
 def trace_table(result: SimResult) -> str:

@@ -174,12 +174,21 @@ def test_cli_simulate(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", data_path("fig1.2wt"), "--input", "aababb", "--trace"
     )
-    assert out.splitlines()[0].split() == ["^", "a", "a", "b", "a", "b", "b", "$"]
+    # row k holds each cell's k-th visit, right-justified to the cell's width
+    assert code == 0 and out == (
+        "^  a  a  b  a  b  b  $\n"
+        "1  1  1  1  1  1  1  1\n"
+        "2  2  2  3  2  3  3  3\n"
+        "   3  3  2  3  2  2   \n"
+        "aabbab\n"
+    )
 
 
 def test_cli_simulate_undefined_exit(capsys):
     code, out, _ = run_cli(capsys, "simulate", data_path("parity.2wt"), "--input", "a")
     assert code == 1 and "undefined" in out
+    code, out, _ = run_cli(capsys, "simulate", data_path("parity.2wt"), "--input", "a", "--json")
+    assert code == 1 and json.loads(out) == {"defined": False, "reason": "rejected"}
 
 
 def test_cli_behaviors(capsys):

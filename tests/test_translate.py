@@ -827,8 +827,8 @@ def test_fused_machines_run_like_unfused_ones(source, unfused_bytes, monkeypatch
     for w in words_upto(6):
         got, want = simulate(fused, w), simulate(unfused, w)
         assert (got.output, got.reason) == (want.output, want.reason), w
-        steps["fused"] += len(got.run.outputs)
-        steps["unfused"] += len(want.run.outputs)
+        steps["fused"] += got.steps
+        steps["unfused"] += want.steps
     assert steps["fused"] < steps["unfused"], steps
 
 

@@ -1,5 +1,6 @@
 import random
 from types import MappingProxyType
+from typing import NamedTuple
 
 import pytest
 
@@ -12,7 +13,6 @@ from twofst.machines import (
 )
 from twofst.twoway import (
     Run,
-    SimResult,
     TwoWayError,
     TwoWayTransducer,
     behaviors,
@@ -116,7 +116,13 @@ def test_rules_are_read_only(doubler):
     assert simulate(t, "aa").output == ("a", "a") and t.rules[("s", "a")] == ("s", ("a",), 1)
 
 
-def dict_simulate(t, w) -> SimResult:
+class Reference(NamedTuple):
+    output: object
+    run: Run
+    reason: object = None
+
+
+def dict_simulate(t, w) -> Reference:
     """Reference ``simulate``: dict lookups per step and a set of the
     configurations seen."""
     w = t.in_alphabet.word(as_word(w))
@@ -128,19 +134,19 @@ def dict_simulate(t, w) -> SimResult:
     while True:
         if pos == last and q in t.finals:
             run = Run(w, tuple(configs), tuple(outputs), True)
-            return SimResult(tuple(s for o in outputs for s in o), run)
+            return Reference(tuple(s for o in outputs for s in o), run)
         a = tape_symbol(w, pos)
         if (q, a) not in t.rules:
             run = Run(w, tuple(configs), tuple(outputs), False)
             reason = "rejected" if pos == last else "blocked"
-            return SimResult(None, run, reason)
+            return Reference(None, run, reason)
         q, out, move = t.rules[(q, a)]
         outputs.append(out)
         pos += move
         configs.append((q, pos))
         if (q, pos) in seen:
             run = Run(w, tuple(configs), tuple(outputs), False)
-            return SimResult(None, run, "loop")
+            return Reference(None, run, "loop")
         seen.add((q, pos))
 
 
@@ -168,6 +174,19 @@ def sweeper(k):
     return make_twoway(tuple(range(k)), AB, AB, 0, {k - 1}, rules)
 
 
+def _matches_reference(t, w):
+    """``simulate`` gives ``t`` on ``w`` the step count, output, stop reason
+    and run of ``dict_simulate``; the step count is exact before the run is
+    first read, and the run is built once."""
+    got, want = simulate(t, w), dict_simulate(t, w)
+    assert got.steps == len(want.run.outputs), (t.rules, w)
+    assert got.run is got.run
+    assert type(got.run.configs) is tuple and type(got.run.outputs) is tuple
+    assert (got.output, got.reason) == (want.output, want.reason), (t.rules, w)
+    assert got.run == want.run, (t.rules, w)
+    return got
+
+
 def test_simulate_matches_dict_reference():
     rng = random.Random(7)
     machines = [_random_machine(rng, marked=True) for _ in range(60)]
@@ -176,10 +195,7 @@ def test_simulate_matches_dict_reference():
     seen = dict.fromkeys(("accept", "blocked", "rejected", "0-move loop on $", "loop across cells"), 0)
     for t in machines:
         for w in words_upto(5):
-            got, want = simulate(t, w), dict_simulate(t, w)
-            assert type(got.run.configs) is tuple and type(got.run.outputs) is tuple
-            assert (got.output, got.reason) == (want.output, want.reason), (t.rules, w)
-            assert got.run == want.run, (t.rules, w)
+            got = _matches_reference(t, w)
             configs = got.run.configs
             if got.reason == "loop":
                 cycle = configs[configs.index(configs[-1]) :]
@@ -192,6 +208,29 @@ def test_simulate_matches_dict_reference():
                 seen[got.reason or "accept"] += 1
     assert all(seen.values()), seen
     assert any(len(o) > 1 for t in machines for _, o, _ in t.rules.values())
+
+
+def test_simulate_long_words_match_the_reference():
+    # 1,000 letters: loops are cut where the reference sees the first
+    # repetition, and an accepting run may take the whole step bound
+    rng = random.Random(3)
+    w = "".join(rng.choice("ab") for _ in range(1000))
+    # the initial state 0-moves between two states on ^
+    rules = {(0, "^"): (1, "", 0), (1, "^"): (0, "", 0)}
+    rules.update({(q, a): (q, "" if a == "^" else a, 1) for q in (2, 3, 4) for a in "ab^"})
+    got = _matches_reference(make_twoway(range(5), AB, AB, 0, {2}, rules), w)
+    assert got.reason == "loop" and got.steps == 2
+    # a loop across cells: a left move on the first b after 500 letters,
+    # and a right move back onto it
+    u = "a" * 500 + w[500:]
+    k = u.index("b", 500)
+    rules = {("s", "^"): ("s", "", 1), ("s", "a"): ("s", "a", 1), ("s", "b"): ("t", "", -1),
+             ("t", "a"): ("s", "", 1)}
+    got = _matches_reference(make_twoway(("s", "t"), AB, AB, "s", {"s"}, rules), u)
+    assert got.reason == "loop" and {p for _, p in got.run.configs[-3:]} == {k, k + 1}
+    # every configuration of the sweeper's accepting run is visited once
+    got = _matches_reference(sweeper(5), w)
+    assert got.reason is None and got.steps == 5 * (len(w) + 2) - 1
 
 
 def test_simulate_runs_up_to_the_step_bound():
@@ -335,7 +374,7 @@ def _runs_agree(t, fused, n):
     for w in words_upto(n):
         got, want = simulate(fused, w), simulate(t, w)
         assert (got.output, got.reason) == (want.output, want.reason), w
-        assert len(got.run.configs) <= len(want.run.configs), w
+        assert got.steps <= want.steps, w
 
 
 def _fused(rules, finals=("s",)):
