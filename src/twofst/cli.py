@@ -684,17 +684,20 @@ def cmd_simulate(args) -> int:
         raise ArtifactSemanticError("artifact does not denote a word function")
     alpha, run = fn
     w = alpha.word(as_word(args.input))
+    trace = {}  # with --json, the trace table's lines go into the one object
     if art.kind == "2wt":
         res = simulate(art.value, w)
         out, reason = res.output, res.reason
-        if args.trace:
+        if args.trace and args.json:
+            trace["trace"] = trace_table(res).split("\n")
+        elif args.trace:
             print(trace_table(res))
     else:
         out, reason = run(w), None
     if out is None:
-        _emit(args, {"defined": False, "reason": reason}, f"undefined ({reason})")
+        _emit(args, {"defined": False, "reason": reason, **trace}, f"undefined ({reason})")
         return 1
-    _emit(args, {"defined": True, "output": show_word(out)}, show_word(out))
+    _emit(args, {"defined": True, "output": show_word(out), **trace}, show_word(out))
     return 0
 
 

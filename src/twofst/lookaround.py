@@ -149,8 +149,6 @@ def _run(t, w, enabled_on) -> LaResult:
             )
         outputs.append(tr.out)
         q, pos = tr.dst, targets[0]
-        if not 0 <= pos <= last:
-            return LaResult(None, tuple(path), "blocked")
         path.append((q, pos))
         if (q, pos) in seen:
             return LaResult(None, tuple(path), "loop")

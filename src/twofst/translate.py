@@ -11,7 +11,6 @@
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import cache
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .words import (
     dfa_table,
     dfa_universal,
     explore_dfa,
+    explore_rules,
     make_seq,
     monoid_closure,
 )
@@ -39,7 +39,6 @@ from .twoway import (
     merge_equivalent,
     mirror,
     normalize,
-    trim,
 )
 from .monoid import is_aperiodic, run_visits, transition_monoid
 from .logic import (
@@ -211,22 +210,11 @@ def compose_seq_2w(a: SequentialTransducer, b: TwoWayTransducer) -> TwoWayTransd
     def final(r):
         return r[0] == "r5" and r[2] in a.finals
 
-    symbols = tuple(a.in_alphabet) + (LEFT_MARK, RIGHT_MARK)
     r0 = ("r1", b.initial, a.initial, (), LEFT_MARK, ())
-    seen = {r0: None}  # insertion-ordered, so state numbering is reproducible
-    queue = deque([r0])
-    rules = {}
-    while queue:
-        r = queue.popleft()
-        for x in symbols:
-            row = follow_zero_moves(rule, final, r, x)
-            if row is not None:
-                rules[(r, x)] = row
-                if row[0] not in seen:
-                    seen[row[0]] = None
-                    queue.append(row[0])
-    finals = [r for r in seen if final(r)]
-    return make_twoway(tuple(seen), a.in_alphabet, b.out_alphabet, r0, finals, rules)
+    symbols = (*a.in_alphabet, LEFT_MARK, RIGHT_MARK)
+    states, rules = explore_rules(r0, symbols, lambda r, x: follow_zero_moves(rule, final, r, x))
+    finals = [r for r in states if final(r)]
+    return make_twoway(states, a.in_alphabet, b.out_alphabet, r0, finals, rules)
 
 
 def _pair_key(a: SequentialTransducer):
@@ -239,7 +227,7 @@ def compose_right_seq_2w(
 ) -> TwoWayTransducer:
     """Compose a right-sequential preprocessor (a sequential transducer run
     on the reversed input, producing the reversed output) with ``b``."""
-    return trim(merge_equivalent(mirror(compose_seq_2w(a_right, mirror(b)))))
+    return merge_equivalent(mirror(compose_seq_2w(a_right, mirror(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -677,28 +665,21 @@ def _annotator(tests: list, in_alphabet: Alphabet, enriched: bool) -> Sequential
     the letter, an inclusive bit that it accepts with the letter.  Input
     letters are base letters, or the ``(letter, bits)`` pairs of an earlier
     pass when ``enriched``."""
-    dfas = [d for (d, _) in tests]
-    start = tuple(d.initial for d in dfas)
-    seen = {start: None}  # insertion-ordered
-    queue = deque([start])
-    rules = {}
-    letters = set()
-    while queue:
-        sigma = queue.popleft()
-        for x in in_alphabet:
-            a, bits = x if enriched else (x, ())
-            nxt = tuple(d.delta[(s, a)] for s, d in zip(sigma, dfas))
-            bits += tuple(
-                1 if (s if flavor == "strict" else n) in d.finals else 0
-                for (d, flavor), s, n in zip(tests, sigma, nxt)
-            )
-            rules[(sigma, x)] = (nxt, ((a, bits),))
-            letters.add((a, bits))
-            if nxt not in seen:
-                seen[nxt] = None
-                queue.append(nxt)
+
+    def rule(sigma, x):
+        a, bits = x if enriched else (x, ())
+        nxt = tuple(d.delta[(s, a)] for (d, _), s in zip(tests, sigma))
+        bits += tuple(
+            1 if (s if flavor == "strict" else n) in d.finals else 0
+            for (d, flavor), s, n in zip(tests, sigma, nxt)
+        )
+        return nxt, ((a, bits),)
+
+    start = tuple(d.initial for d, _ in tests)
+    states, rules = explore_rules(start, in_alphabet, rule)
+    letters = {prod[0] for _, prod in rules.values()}
     out = Alphabet(tuple(sorted(letters, key=lambda s: (str(s[0]), s[1]))))
-    return make_seq(tuple(seen), in_alphabet, out, start, seen, rules)
+    return make_seq(states, in_alphabet, out, start, states, rules)
 
 
 def sf_la_to_plain(t: SfLookAroundTransducer) -> TwoWayTransducer:

@@ -24,6 +24,7 @@ from .words import (
     SymbolNotInAlphabet,
     Word,
     as_word,
+    explore_rules,
     refine,
 )
 
@@ -382,60 +383,28 @@ def mirror(t: TwoWayTransducer) -> TwoWayTransducer:
 
     A seek phase walks to the right endmarker (the image of the original left
     endmarker), the simulation runs with moves negated, and a drain phase
-    walks back to the right endmarker to accept.
+    walks back to the right endmarker to accept.  Only the states the
+    mirrored run reaches are made.
     """
     seek, drain = ("seek",), ("drain",)
-    sim = {q: ("sim", q) for q in t.states}
-    rules = {}
-    rules[(seek, LEFT_MARK)] = (seek, (), 1)
-    for a in t.in_alphabet:
-        rules[(seek, a)] = (seek, (), 1)
-        rules[(drain, a)] = (drain, (), 1)
-    rules[(drain, LEFT_MARK)] = (drain, (), 1)
-    # arriving at $ in seek mode: fire the original transition on ^
-    if (t.initial, LEFT_MARK) in t.rules:
-        r, out, move = t.rules[(t.initial, LEFT_MARK)]
-        rules[(seek, RIGHT_MARK)] = (sim[r], out, -move)
-    for q in t.states:
-        for a in t.in_alphabet:
-            if (q, a) in t.rules:
-                r, out, move = t.rules[(q, a)]
-                rules[(sim[q], a)] = (sim[r], out, -move)
-        # mirrored right endmarker = original left endmarker
-        if (q, LEFT_MARK) in t.rules:
-            r, out, move = t.rules[(q, LEFT_MARK)]
-            rules[(sim[q], RIGHT_MARK)] = (sim[r], out, -move)
-        # mirrored left endmarker = original right endmarker
-        if q in t.finals:
-            rules[(sim[q], LEFT_MARK)] = (drain, (), 1)
-        elif (q, RIGHT_MARK) in t.rules:
-            r, out, move = t.rules[(q, RIGHT_MARK)]
-            rules[(sim[q], LEFT_MARK)] = (sim[r], out, -move)
-    states = (seek, drain) + tuple(sim.values())
-    return make_twoway(
-        states, t.in_alphabet, t.out_alphabet, seek, {drain}, rules
-    )
+    flip = {LEFT_MARK: RIGHT_MARK, RIGHT_MARK: LEFT_MARK}
 
+    def rule(s, a):
+        if s in (seek, drain) and a != RIGHT_MARK:
+            return s, (), 1
+        if s == drain:
+            return None  # drain is final, so a run stops on $
+        if s == seek:  # arriving at $: fire the original transition on ^
+            row = t.rules.get((t.initial, LEFT_MARK))
+        elif a == LEFT_MARK and s[1] in t.finals:  # mirrored ^ = original $
+            return drain, (), 1
+        else:
+            row = t.rules.get((s[1], flip.get(a, a)))
+        return row and (("sim", row[0]), row[1], -row[2])
 
-def trim(t: TwoWayTransducer) -> TwoWayTransducer:
-    """Restrict to states syntactically reachable from the initial state."""
-    targets = {}
-    for (p, _), (r, _, _) in t.rules.items():
-        targets.setdefault(p, []).append(r)
-    reach = {t.initial}
-    frontier = [t.initial]
-    while frontier:
-        for r in targets.get(frontier.pop(), ()):
-            if r not in reach:
-                reach.add(r)
-                frontier.append(r)
-    if len(reach) == len(t.states):
-        return t
-    states = tuple(q for q in t.states if q in reach)
-    rules = {(q, a): row for (q, a), row in t.rules.items() if q in reach}
-    return make_twoway(
-        states, t.in_alphabet, t.out_alphabet, t.initial, t.finals & reach, rules
-    )
+    states, rules = explore_rules(seek, (*t.in_alphabet, LEFT_MARK, RIGHT_MARK), rule)
+    finals = {drain}.intersection(states)  # no drain where no run of t accepts
+    return make_twoway(states, t.in_alphabet, t.out_alphabet, seek, finals, rules)
 
 
 def follow_zero_moves(rule, final, q, a):

@@ -423,6 +423,25 @@ def explore_dfa(alphabet_: Alphabet, key, init, step, is_final) -> Dfa:
     return dfa_minimize(_dense(alphabet_, cls, tuple(rows), 0, fin))
 
 
+def explore_rules(initial, symbols, rule) -> tuple:
+    """``(states, rules)`` of a machine grown from ``initial``: the states
+    reached in breadth-first order, reading ``symbols`` in order, and the
+    rows ``(state, symbol) -> rule(state, symbol)`` that are not None.  A
+    row's first entry is the next state, and every state is reachable."""
+    order = [initial]
+    seen = {initial}
+    rules = {}
+    for q in order:
+        for a in symbols:
+            row = rule(q, a)
+            if row is not None:
+                rules[(q, a)] = row
+                if row[0] not in seen:
+                    seen.add(row[0])
+                    order.append(row[0])
+    return tuple(order), rules
+
+
 def determinize_nfa(alphabet_: Alphabet, initials, finals, moves) -> Dfa:
     """Subset construction.  ``moves(state, symbol)`` yields successor states."""
     return explore_dfa(

@@ -1,16 +1,20 @@
+import hashlib
 import os
 import sys
 import time
+from collections import deque
 from contextlib import contextmanager
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from twofst.cli import serialize_machine
 from twofst.machines import AB, block_doubler, block_doubler_fot
-from twofst.twoway import follow_zero_moves, make_twoway, trim
+from twofst.twoway import follow_zero_moves, make_twoway
 from twofst.monoid import transition_monoid
 from twofst.logic import MonoidRegistry
+from twofst.words import LEFT_MARK, RIGHT_MARK
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -49,14 +53,62 @@ def _random_machine(rng, marked=False):
     return make_twoway(states, AB, AB, 0, finals, rules)
 
 
+def breadth_first(t) -> dict:
+    """The states reachable from the initial state of ``t``, numbered in
+    breadth-first order, reading symbols in input-alphabet order, then
+    ``^``, then ``$``.  The library's constructions grow their machines with
+    ``words.explore_rules``; this search is kept apart to check them."""
+    number = {t.initial: 0}
+    queue = deque([t.initial])
+    while queue:
+        q = queue.popleft()
+        for a in (*t.in_alphabet, LEFT_MARK, RIGHT_MARK):
+            row = t.rules.get((q, a))
+            if row and row[0] not in number:
+                number[row[0]] = len(number)
+                queue.append(row[0])
+    return number
+
+
+def every_state_reachable(t) -> bool:
+    return len(breadth_first(t)) == len(t.states)
+
+
 def contract_zero_moves(t):
     """``t`` with every rule fused with its chain of 0-moves by
-    ``twoway.follow_zero_moves``, trimmed to the states the fused rules reach."""
+    ``twoway.follow_zero_moves``, keeping, in ``t``'s order, the states the
+    fused rules reach."""
     def rule(q, a):
         return t.rules.get((q, a))
 
     rules = {(q, a): follow_zero_moves(rule, t.finals.__contains__, q, a) for q, a in t.rules}
-    return trim(make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules))
+    reach = breadth_first(make_twoway(t.states, t.in_alphabet, t.out_alphabet, t.initial, t.finals, rules))
+    return make_twoway(
+        [q for q in t.states if q in reach],
+        t.in_alphabet,
+        t.out_alphabet,
+        t.initial,
+        [q for q in t.finals if q in reach],
+        {(q, a): row for (q, a), row in rules.items() if q in reach},
+    )
+
+
+def fingerprint(t, serialize=serialize_machine) -> tuple:
+    """Length and sha256 prefix of the machine's file text: a construction
+    that changes state names, their order or any row changes it."""
+    text = serialize(t).encode()
+    return len(text), hashlib.sha256(text).hexdigest()[:16]
+
+
+def canonical_fingerprint(t) -> tuple:
+    """``fingerprint`` of ``t`` with its states renumbered 0..n-1 in
+    ``breadth_first`` order: it changes with any row of the machine but not
+    with the names or the order of its states."""
+    number = breadth_first(t)
+    assert len(number) == len(t.states), "every state is reachable"
+    rules = {(number[q], a): (number[r], out, move) for (q, a), (r, out, move) in t.rules.items()}
+    finals = {number[q] for q in t.finals}
+    return fingerprint(make_twoway(range(len(number)), t.in_alphabet, t.out_alphabet, 0, finals, rules))
 
 
 def words_upto(n, min_len=0):

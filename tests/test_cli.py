@@ -191,6 +191,32 @@ def test_cli_simulate_undefined_exit(capsys):
     assert code == 1 and json.loads(out) == {"defined": False, "reason": "rejected"}
 
 
+def test_cli_simulate_trace_json_is_one_object(capsys):
+    # with --json the trace table's lines ride in the JSON object, so the
+    # whole of stdout parses, for a defined and an undefined run
+    code, out, _ = run_cli(
+        capsys, "simulate", data_path("fig1.2wt"), "--input", "aababb", "--trace", "--json"
+    )
+    assert code == 0 and json.loads(out) == {
+        "defined": True,
+        "output": "aabbab",
+        "trace": [
+            "^  a  a  b  a  b  b  $",
+            "1  1  1  1  1  1  1  1",
+            "2  2  2  3  2  3  3  3",
+            "   3  3  2  3  2  2   ",
+        ],
+    }
+    code, out, _ = run_cli(
+        capsys, "simulate", data_path("parity.2wt"), "--input", "a", "--trace", "--json"
+    )
+    assert code == 1 and json.loads(out) == {
+        "defined": False,
+        "reason": "rejected",
+        "trace": ["^  a  $", "0  0  1"],
+    }
+
+
 def test_cli_behaviors(capsys):
     code, out, _ = run_cli(capsys, "behaviors", data_path("fig1.2wt"), "--input", "aab")
     assert code == 0

@@ -1,10 +1,9 @@
-import hashlib
 import os
 import random
 import re
 import subprocess
 import sys
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -21,7 +20,7 @@ from twofst.machines import (
     parity_twoway,
     reverser,
 )
-from twofst.cli import parse, serialize_machine, serialize_sfla
+from twofst.cli import parse, serialize_sfla
 from twofst.logic import (
     EvalSession,
     Forall,
@@ -62,10 +61,8 @@ from twofst.lookaround import (
     simulate_sf_la,
 )
 from twofst.fot import FoTransduction, fot_eval
-from twofst.twoway import context_path, make_twoway, simulate, trim
+from twofst.twoway import context_path, make_twoway, simulate
 from twofst.words import (
-    LEFT_MARK,
-    RIGHT_MARK,
     dfa_is_counter_free,
     dfa_same_language,
     dfa_universal,
@@ -75,7 +72,16 @@ from twofst.words import (
     show_word,
 )
 
-from conftest import _random_machine, budget, contract_zero_moves, data_path, words_upto
+from conftest import (
+    _random_machine,
+    budget,
+    canonical_fingerprint,
+    contract_zero_moves,
+    data_path,
+    every_state_reachable,
+    fingerprint,
+    words_upto,
+)
 from fot_expansion import expanded_twoway_to_fot
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -88,14 +94,14 @@ PERFBENCH_INPUTS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "i
 
 def test_compose_identity(doubler):
     c = compose_seq_2w(identity_seq(), doubler)
-    assert trim(c) is c  # the construction makes only states it reaches
+    assert every_state_reachable(c)  # the construction makes only states it reaches
     for w in words_upto(6):
         assert simulate(c, w).output == simulate(doubler, w).output, w
 
 
 def test_compose_erase_b(doubler):
     c = compose_seq_2w(erase_b_seq(), doubler)
-    assert trim(c) is c
+    assert every_state_reachable(c)
     for w in words_upto(5):
         k = w.count("a")
         assert simulate(c, w).output == tuple("a" * k) + tuple("b" * k), w
@@ -104,7 +110,7 @@ def test_compose_erase_b(doubler):
 def test_compose_undefined_propagates(doubler):
     partial = make_seq((0,), AB, AB, 0, {0}, {(0, "a"): (0, "a")})
     c = compose_seq_2w(partial, doubler)
-    assert trim(c) is c
+    assert every_state_reachable(c)
     for w in words_upto(5):
         mid = seq_run(partial, w)
         want = simulate(doubler, mid).output if mid is not None else None
@@ -120,7 +126,7 @@ def test_compose_multi_letter_productions(doubler):
     }
     seqm = make_seq((0, 1), AB, AB, 0, {0, 1}, rules)
     c = compose_seq_2w(seqm, doubler)
-    assert trim(c) is c
+    assert every_state_reachable(c)
     for w in words_upto(6):
         mid = seq_run(seqm, w)
         want = simulate(doubler, mid).output if mid is not None else None
@@ -147,7 +153,7 @@ def test_compose_rejecting_final_states(doubler):
     rules = {(0, "a"): (1, "a"), (1, "a"): (0, "a"), (0, "b"): (0, "b"), (1, "b"): (1, "b")}
     seqm = make_seq((0, 1), AB, AB, 0, {0}, rules)
     c = compose_seq_2w(seqm, doubler)
-    assert trim(c) is c
+    assert every_state_reachable(c)
     for w in words_upto(5):
         mid = seq_run(seqm, w)
         want = simulate(doubler, mid).output if mid is not None else None
@@ -222,7 +228,7 @@ def seq_index(t):
 
 def test_compose_aperiodicity_and_index_log(doubler, doubler_monoid):
     c = compose_seq_2w(erase_b_seq(), doubler)
-    assert trim(c) is c
+    assert every_state_reachable(c)
     m = transition_monoid(c)
     rep = is_aperiodic(m)
     assert rep.aperiodic
@@ -691,34 +697,6 @@ def test_sf_la_to_plain_caps_the_test_languages():
 
 # ---------------------------------------------------------------------------
 # Round trips
-
-
-def fingerprint(t, serialize=serialize_machine) -> tuple:
-    """Length and sha256 prefix of the machine's file text: a construction
-    that changes state names, their order or any row changes it."""
-    text = serialize(t).encode()
-    return len(text), hashlib.sha256(text).hexdigest()[:16]
-
-
-def canonical_fingerprint(t) -> tuple:
-    """``fingerprint`` of ``t`` with its states renumbered 0..n-1 in
-    breadth-first order from the initial state, reading symbols in
-    input-alphabet order, then ``^``, then ``$``: it changes with any row of
-    the machine but not with the names or the order of its states."""
-    symbols = (*t.in_alphabet, LEFT_MARK, RIGHT_MARK)
-    number = {t.initial: 0}
-    queue = deque([t.initial])
-    while queue:
-        q = queue.popleft()
-        for a in symbols:
-            row = t.rules.get((q, a))
-            if row and row[0] not in number:
-                number[row[0]] = len(number)
-                queue.append(row[0])
-    assert len(number) == len(t.states), "every state is reachable"
-    rules = {(number[q], a): (number[r], out, move) for (q, a), (r, out, move) in t.rules.items()}
-    finals = {number[q] for q in t.finals}
-    return fingerprint(make_twoway(range(len(number)), t.in_alphabet, t.out_alphabet, 0, finals, rules))
 
 
 def from_file(name):

@@ -4,12 +4,14 @@ from typing import NamedTuple
 
 import pytest
 
+from twofst.cli import parse
 from twofst.machines import (
     AB,
     block_double,
     block_doubler,
     copier,
     double_writer,
+    reverser,
 )
 from twofst.twoway import (
     Run,
@@ -25,11 +27,17 @@ from twofst.twoway import (
     simulate,
     tape_symbol,
     trace_table,
-    trim,
 )
 from twofst.words import SymbolNotInAlphabet, alphabet, as_word, show_word
 
-from conftest import _random_machine, contract_zero_moves, words_upto
+from conftest import (
+    _random_machine,
+    canonical_fingerprint,
+    contract_zero_moves,
+    data_path,
+    every_state_reachable,
+    words_upto,
+)
 
 
 def test_running_example_output():
@@ -345,27 +353,39 @@ def test_trace_table_layout():
     assert lines[1].split() == ["1", "1", "1", "1", "1"]
 
 
-def test_trim_keeps_reachable_states_in_order(doubler):
-    # "x" and "y" are unreachable; "y" is reached only from "x", and "w"
-    # only through "t", so the search has to follow more than one step
+@pytest.mark.parametrize(
+    "machine, shape",
+    [
+        (lambda: parse(data_path("fig1.2wt")).value, (343, "f329f97785f176b2")),
+        (copier, (243, "5fc71bc267c9eb05")),
+        (reverser, (343, "5e09afff273d6c94")),
+        (block_doubler, (343, "f329f97785f176b2")),
+    ],
+    ids=["fig1", "copier", "reverser", "block_doubler"],
+)
+def test_mirror_keeps_its_rows(machine, shape):
+    # the shapes are those of the mirrors that wrote a row for every state
+    # and were then cut to the states their runs reach
+    m = mirror(machine())
+    assert every_state_reachable(m)
+    assert canonical_fingerprint(m) == shape
+
+
+def test_mirror_makes_only_the_states_its_run_reaches():
+    # "x" is unreachable in t, and no run of t reaches its final state "f"
     rules = {
         ("s", "^"): ("s", "", 1),
         ("s", "a"): ("t", "a", 1),
-        ("t", "b"): ("w", "b", -1),
-        ("w", "a"): ("s", "", 1),
-        ("w", "$"): ("w", "", 0),
-        ("x", "a"): ("y", "", 1),
-        ("y", "b"): ("s", "", 1),
+        ("t", "b"): ("s", "b", -1),
+        ("x", "a"): ("f", "", 1),
     }
-    t = make_twoway(("x", "w", "s", "y", "t"), AB, AB, "s", {"t", "x", "y"}, rules)
-    trimmed = trim(t)
-    assert trimmed.states == ("w", "s", "t")
-    assert trimmed.finals == {"t"}
-    assert trimmed.initial == "s"
-    assert set(trimmed.rules) == {k for k in rules if k[0] in ("s", "t", "w")}
+    t = make_twoway(("x", "s", "t", "f"), AB, AB, "s", {"f"}, rules)
+    m = mirror(t)
+    assert m.states == (("seek",), ("sim", "s"), ("sim", "t"))
+    assert m.finals == frozenset()
+    assert every_state_reachable(m)
     for w in words_upto(4):
-        assert simulate(trimmed, w).output == simulate(t, w).output, w
-    assert trim(doubler) is doubler
+        assert simulate(t, w).output is None and simulate(m, w).output is None, w
 
 
 def _runs_agree(t, fused, n):

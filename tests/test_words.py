@@ -25,6 +25,7 @@ from twofst.words import (
     dfa_table,
     dfa_union,
     dfa_universal,
+    explore_rules,
     make_dfa,
     make_seq,
     marked_alphabet,
@@ -192,6 +193,22 @@ def test_dense_dfa_builds_from_symbol_keys():
     assert dfa_table(d) == dfa_table(make_dfa(range(3), marked, 0, {1}, delta))
     with pytest.raises(ValueError, match="outside"):
         dense_dfa(marked, 3, 0, {1}, lambda s: s[1][0], lambda q, m: q + m)
+
+
+def test_explore_rules_grows_reachable_states_breadth_first():
+    # counters mod 6, read "b" (double, no row at 3) before "a" (add 1);
+    # 4 is reached by "b" from 2 before 3 is reached by "a"
+    def rule(q, x):
+        if x == "b":
+            return None if q == 3 else ((2 * q) % 6, "b")
+        return ((q + 1) % 6, "a")
+
+    states, rules = explore_rules(1, ("b", "a"), rule)
+    assert states == (1, 2, 4, 3, 5, 0)
+    assert (3, "b") not in rules and len(rules) == 11
+    assert rules[(1, "b")] == (2, "b") and rules[(5, "a")] == (0, "a")
+    states, rules = explore_rules(0, ("b",), rule)
+    assert states == (0,) and rules == {(0, "b"): (0, "b")}
 
 
 def test_seq_run_examples():
